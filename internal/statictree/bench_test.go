@@ -2,6 +2,7 @@ package statictree
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"github.com/ksan-net/ksan/internal/workload"
@@ -16,7 +17,27 @@ func benchDemand(n int) *workload.Demand {
 // BenchmarkOptimal is the PR 4 perf-trajectory grid: one cubic-DP solve per
 // (n, k). BENCH_PR4.json at the repo root records this machine's baseline;
 // future PRs diff against it (scripts/bench_pr4.sh regenerates it).
+//
+// The hotspot case is the lazy optimal-rebuild workload's solve: the
+// demand of one 37,500-request hotspot phase at n = 256, k = 4, filled by
+// one worker and by GOMAXPROCS workers, so the wavefront's parallel
+// efficiency is a number of its own.
 func BenchmarkOptimal(b *testing.B) {
+	hot := workload.DemandFromTrace(workload.MustCollect(workload.HotspotGen(256, 37_500, 0.1, 0.9, 1)))
+	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+		b.Run(fmt.Sprintf("hotspot-n=256/k=4/workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s, err := NewSolver(hot, WithSolverWorkers(workers))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, _, err := s.Optimal(4); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 	for _, n := range []int{128, 256, 512} {
 		d := benchDemand(n)
 		for _, k := range []int{2, 4, 8} {

@@ -3,10 +3,12 @@
 //
 //   - Solver / Optimal: the O(n³·k) dynamic program for an optimal static
 //     routing-based k-ary search tree network (Theorem 2/15), with the
-//     dp2 prefix-minimum trick from the proof, flattened triangular
-//     tables shared across an arity sweep, an exact admissible-bound root
-//     pruning (Knuth-style windows are unsound for this cost — see
-//     dp.go), and an atomic work-counter parallel fill,
+//     dp2 prefix-minimum trick from the proof, triangular tables kept
+//     column-major with row-major mirrors of the two planes whose rows
+//     are walked (every inner loop streams), at most min(k-1, n) planes,
+//     an exact admissible-bound root pruning (Knuth-style windows are
+//     unsound for this cost — see dp.go), and a row-block wavefront
+//     parallel fill,
 //   - UniformSolver / OptimalUniform: the O(n²·k) dynamic program for the
 //     uniform workload (Theorem 4), which optimizes over tree shapes and
 //     imposes the search property afterwards,

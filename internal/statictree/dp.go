@@ -13,10 +13,11 @@ import (
 
 const inf = math.MaxInt64 / 4
 
-// spawnWorkThreshold is the estimated per-diagonal operation count below
-// which the fill runs inline instead of fanning out to workers (a var so
-// tests can force the concurrent path on small instances).
-var spawnWorkThreshold = 4096
+// blockRows is the wavefront's block height: each worker fills this many
+// consecutive rows column by column (see run). Sixteen rows of the two
+// row planes stay in L2 at n = 4096, and one column step of a block is
+// long enough that waiting on the block below stays rare.
+const blockRows = 16
 
 // Optimal computes an optimal static routing-based k-ary search tree
 // network for the given demand (Theorem 2/15): a tree minimizing
@@ -40,7 +41,7 @@ func Optimal(d *workload.Demand, k int) (*core.Tree, int64, error) {
 // every arity); each Optimal call runs the O(n³·k) dynamic program of the
 // paper's Theorem 2/15 proof, with an admissible-bound root pruning that
 // typically removes the k-factor from the root search (see fillSegment)
-// and an atomic work-counter scheduler for the parallel fill (see run).
+// and a row-block wavefront for the parallel fill (see run).
 //
 // Scratch ownership mirrors the serve-path contract of DESIGN.md §3: the
 // DP tables are owned by the Solver and recycled across Optimal calls, so
@@ -57,25 +58,60 @@ type Solver struct {
 	// Per-call state, reused across Optimal calls (grown, never cleared:
 	// every fill writes each cell of its segment before anything reads it).
 	//
-	// dp2[(t-1)*T + tri(i,j)] = minimal cost of partitioning segment [i,j]
-	// into AT MOST t routing-based k-ary search trees (the children of
-	// some node), t ∈ 1..k, where the cost of a tree on [a,b] includes
-	// W[a,b], the traffic crossing the link to its parent. The exact-t
-	// table of the seed DP is redundant — the recurrence closes over the
-	// prefix-minimum form directly (see fillSegment) — so dropping it
-	// halves table memory on top of the triangular halving.
+	// dp2(i,j,t) is the minimal cost of partitioning segment [i,j] into
+	// AT MOST t routing-based k-ary search trees (the children of some
+	// node), where the cost of a tree on [a,b] includes W[a,b], the
+	// traffic crossing the link to its parent. Readers ask for at most
+	// k-1 parts (a node has k slots, one side of it at most k-1), and a
+	// forest on at most n nodes has at most n trees, so the DP runs at
+	// arity k' = min(k, n+1) with planes = k'-1 values of t: every k ≥ n+1
+	// yields the same costs and the same witness as k = n+1.
 	//
-	// The layout is plane-major in t: the hot inner loops walk segments at
-	// a fixed t, so each plane is a contiguous triangular matrix.
-	k, T int // current arity; T = n(n+1)/2 plane size
-	dp2  []int64
-	root []int32 // root[tri(i,j)] = an argmin root of the 1-tree cost on [i,j]
-	lb   []int64 // inline-path scratch for prunedRootSearch
+	// Every recurrence term is a row walk on its left-hand side (dp2(i,l,·)
+	// for growing l) and a column walk on its right-hand side (dp2(l,j,·)
+	// for growing l), so the table is kept in both orders where it is
+	// walked: col holds every plane column-major — col[(t-1)*T +
+	// colAt(i,j)], column j contiguous in i — and is the table of record;
+	// row1 and rowTop mirror planes 1 and k'-1 row-major (sc.t layout),
+	// the only planes whose rows are walked. Scratch is planes+min(planes,2)
+	// triangular planes, at most k+1.
+	k, planes, T int // DP arity k' = min(k, n+1); planes = k'-1; T = n(n+1)/2
+	col          []int64
+	rows         []int64 // backing array of row1 and rowTop
+	row1, rowTop []int64 // rowTop aliases row1 when planes == 1
+	root         []int32 // root[tri(i,j)] = an argmin root of the 1-tree cost on [i,j]
+
+	progress []blockProgress // per-block wavefront progress (see run)
+	fill     []fillWorker    // per-worker scratch, fill[0] serves the serial path
 
 	// Pruning diagnostics: exact O(k) split evaluations vs roots excluded
-	// by the admissible bound, accumulated per Optimal call.
-	rootsEvaluated atomic.Int64
-	rootsSkipped   atomic.Int64
+	// by the admissible bound, summed over the workers per Optimal call.
+	rootsEvaluated, rootsSkipped int64
+}
+
+// fillWorker is one fill worker's private scratch and counters, padded
+// so that two workers' counters never share a cache line.
+type fillWorker struct {
+	lb                 []int64 // root bounds of the segment being filled
+	evaluated, skipped int64
+	_                  [88]byte
+}
+
+// blockProgress is the last column a wavefront block has completed, and
+// the parking place of the one worker that waits on it (the holder of
+// the block above). Each sits on cache lines of its own, so the polling
+// worker does not contend with the stores to its neighbours.
+type blockProgress struct {
+	col     atomic.Int64
+	waiting atomic.Bool
+	wake    chan struct{} // capacity 1: one waiter, at most one pending wake
+	_       [104]byte
+}
+
+// colAt maps (i,j), 1 ≤ i ≤ j, to its column-major triangular index:
+// column j holds rows 1..j contiguously.
+func colAt(i, j int) int {
+	return j*(j-1)/2 + i - 1
 }
 
 // SolverOption configures a Solver at construction.
@@ -103,11 +139,13 @@ func WithSolverWorkers(n int) SolverOption {
 }
 
 // NewSolver builds the shared per-demand state: the flattened triangular
-// boundary-traffic matrix. Memory is Θ(n²) words here plus Θ(n²·k)/2 words
-// of DP table on the first Optimal(k) call (a quarter of the seed DP's two
-// square tables); callers should keep n in the low thousands (the paper
-// itself could not compute the optimum for its 10⁴-node Facebook trace;
-// see Table 3).
+// boundary-traffic matrix, one triangular plane of n(n+1)/2 words. The
+// first Optimal(k) call adds at most k+1 such planes of DP table (k-1 for
+// the column-major table, two row mirrors; never more than n+2) plus a
+// half-size root plane. At the n = 4096 limit a plane is 67 MB, so k = 4
+// needs about 370 MB of table.
+// Callers should keep n in the low thousands (the paper itself could not
+// compute the optimum for its 10⁴-node Facebook trace; see Table 3).
 func NewSolver(d *workload.Demand, opts ...SolverOption) (*Solver, error) {
 	n := d.N
 	if n < 1 {
@@ -130,41 +168,54 @@ func NewSolver(d *workload.Demand, opts ...SolverOption) (*Solver, error) {
 // Optimal runs the DP at arity k and reconstructs an optimal tree. The
 // cost is deterministic and independent of worker count and pruning mode
 // (pruning is exact; the differential tests enforce bit-identity anyway);
-// the returned tree is one cost-minimal witness.
+// the returned tree is one cost-minimal witness, likewise independent of
+// the worker count.
 func (s *Solver) Optimal(k int) (*core.Tree, int64, error) {
+	spec, cost, err := s.solve(k)
+	if err != nil {
+		return nil, 0, err
+	}
+	tree, err := core.Build(k, spec)
+	if err != nil {
+		return nil, 0, fmt.Errorf("statictree: DP produced an invalid tree: %w", err)
+	}
+	return tree, cost, nil
+}
+
+// solve runs the DP at arity k and returns the witness spec and its cost.
+func (s *Solver) solve(k int) (*core.Spec, int64, error) {
 	if k < 2 {
 		return nil, 0, fmt.Errorf("statictree: arity %d < 2", k)
 	}
 	s.prepare(k)
 	s.run()
-	spec := s.treeSpec(1, s.n)
-	tree, err := core.Build(k, spec)
-	if err != nil {
-		return nil, 0, fmt.Errorf("statictree: DP produced an invalid tree: %w", err)
-	}
-	return tree, s.get2(1, s.n, 1), nil
+	return s.treeSpec(1, s.n), s.get2(1, s.n, 1), nil
 }
 
 // prepare sizes the DP tables for arity k, recycling prior allocations.
 func (s *Solver) prepare(k int) {
-	s.k = k
+	s.k = min(k, s.n+1)
+	s.planes = s.k - 1
 	s.T = s.sc.t.size()
-	size := s.T * k
-	if cap(s.dp2) < size {
-		s.dp2 = make([]int64, size)
-	} else {
-		s.dp2 = s.dp2[:size]
-	}
+	s.col = grow(s.col, s.planes*s.T)
+	rowPlanes := min(s.planes, 2)
+	s.rows = grow(s.rows, rowPlanes*s.T)
+	s.row1, s.rowTop = s.rows[:s.T], s.rows[(rowPlanes-1)*s.T:]
 	if s.root == nil {
 		s.root = make([]int32, s.T)
-		s.lb = make([]int64, s.n+1)
 	}
-	s.rootsEvaluated.Store(0)
-	s.rootsSkipped.Store(0)
+	s.rootsEvaluated, s.rootsSkipped = 0, 0
 }
 
-// get2 reads dp2[i][j][t] (min over up to t parts); empty segments are
-// free.
+func grow(b []int64, size int) []int64 {
+	if cap(b) < size {
+		return make([]int64, size)
+	}
+	return b[:size]
+}
+
+// get2 reads dp2(i,j,t) for t ≤ planes (min over up to t parts); empty
+// segments are free.
 func (s *Solver) get2(i, j, t int) int64 {
 	if i > j {
 		return 0
@@ -172,7 +223,7 @@ func (s *Solver) get2(i, j, t int) int64 {
 	if t < 1 {
 		return inf
 	}
-	return s.dp2[(t-1)*s.T+s.sc.t.at(i, j)]
+	return s.col[(t-1)*s.T+colAt(i, j)]
 }
 
 // splitCost is the cheapest way to hang the children of a node with id r
@@ -182,23 +233,17 @@ func (s *Solver) get2(i, j, t int) int64 {
 // threshold when one side is empty (routing-based trees keep r in the
 // routing array).
 func (s *Solver) splitCost(i, r, j int) int64 {
-	k, T := s.k, s.T
-	top := (k - 2) * T
 	switch {
 	case r == i && r == j:
 		return 0
 	case r == i:
-		return s.dp2[top+s.sc.t.at(r+1, j)]
+		return s.get2(r+1, j, s.planes)
 	case r == j:
-		return s.dp2[top+s.sc.t.at(i, r-1)]
+		return s.get2(i, r-1, s.planes)
 	default:
-		li := s.sc.t.at(i, r-1)
-		ri := s.sc.t.at(r+1, j)
 		best := int64(inf)
-		for dl := 1; dl <= k-1; dl++ {
-			if v := s.dp2[(dl-1)*T+li] + s.dp2[(k-dl-1)*T+ri]; v < best {
-				best = v
-			}
+		for dl := 1; dl <= s.planes; dl++ {
+			best = min(best, s.get2(i, r-1, dl)+s.get2(r+1, j, s.k-dl))
 		}
 		return best
 	}
@@ -212,73 +257,153 @@ func (s *Solver) splitCost(i, r, j int) int64 {
 // minimum whenever it is below beat (values ≥ beat may be partial, which
 // is sound: callers only use them for `< beat` comparisons).
 func (s *Solver) splitCostBeat(i, r, j int, beat int64) int64 {
-	k, T := s.k, s.T
-	li := s.sc.t.at(i, r-1)
-	ri := s.sc.t.at(r+1, j)
-	lmin := s.dp2[(k-2)*T+li]
+	P, T := s.planes, s.T
+	li := colAt(i, r-1)
+	ri := colAt(r+1, j)
+	lmin := s.col[(P-1)*T+li]
 	best := int64(inf)
-	for dl := 1; dl <= k-1; dl++ {
-		rv := s.dp2[(k-dl-1)*T+ri]
+	for dl := 1; dl <= P; dl++ {
+		rv := s.col[(P-dl)*T+ri] // dr = k'-dl parts
 		if lmin+rv >= beat && best < inf {
 			break
 		}
-		if v := s.dp2[(dl-1)*T+li] + rv; v < best {
+		if v := s.col[(dl-1)*T+li] + rv; v < best {
 			best = v
 		}
 	}
 	return best
 }
 
-// run fills the table diagonal by diagonal (all segments of one length
-// depend only on shorter ones). Within a diagonal, workers pull the next
-// unfilled segment from a shared atomic counter, so a handful of
-// expensive segments — pruning makes per-segment cost wildly skewed —
-// never idles the rest of the pool the way the previous fixed-chunk
-// fan-out did. Tiny diagonals run inline: the fan-out costs more than it
-// buys below spawnWorkThreshold estimated operations.
+// run fills the table as a row-block wavefront. Cell (i,j) reads only
+// row i to its left and column j below it, so rows are cut into blocks
+// of blockRows, numbered from the bottom, and each block is filled column
+// by column, bottom row first within a column. Workers take the next
+// block from a shared counter; before filling column j a worker waits
+// until the block below has completed column j (see blockProgress).
+// Blocks are taken in order, so the block waited on is always held by a
+// running worker, and each block does more work per column than the one
+// below it, so after the pipeline fills the upper worker rarely waits.
+//
+// A per-diagonal fan-out synchronizes on a barrier after every one of the
+// n diagonals, and each diagonal touches every row and column of the
+// table, so two workers ran it no faster than one. The wavefront
+// synchronizes once per block column, and a block's rows and the column
+// being filled stay in cache.
+//
+// With one worker (or one block) the same block-column order runs
+// serially, without the progress counters.
 func (s *Solver) run() {
-	var scratch [][]int64 // per-worker lb buffers, reused across diagonals
-	for length := 1; length <= s.n; length++ {
-		lo, hi := 1, s.n-length+1
-		segs := hi - lo + 1
-		if s.workers <= 1 || segs == 1 || segs*length*s.k < spawnWorkThreshold {
-			for i := lo; i <= hi; i++ {
-				s.fillSegment(i, i+length-1, s.lb)
-			}
-			continue
+	blocks := (s.n + blockRows - 1) / blockRows
+	workers := max(min(s.workers, blocks), 1)
+	if len(s.fill) < workers {
+		s.fill = make([]fillWorker, workers)
+		for w := range s.fill {
+			s.fill[w].lb = make([]int64, s.n)
 		}
-		if scratch == nil {
-			scratch = make([][]int64, s.workers)
-			for w := range scratch {
-				scratch[w] = make([]int64, s.n+1)
+	}
+	for w := range s.fill {
+		s.fill[w].evaluated, s.fill[w].skipped = 0, 0
+	}
+	if workers == 1 {
+		for b := 0; b < blocks; b++ {
+			s.fillBlock(b, &s.fill[0], false)
+		}
+	} else {
+		if len(s.progress) < blocks {
+			s.progress = make([]blockProgress, blocks)
+			for b := range s.progress {
+				s.progress[b].wake = make(chan struct{}, 1)
 			}
 		}
-		nw := s.workers
-		if nw > segs {
-			nw = segs
+		for b := range s.progress {
+			s.progress[b].col.Store(0)
 		}
 		var next atomic.Int64
+		work := func(fw *fillWorker) {
+			for {
+				b := int(next.Add(1)) - 1
+				if b >= blocks {
+					return
+				}
+				s.fillBlock(b, fw, true)
+			}
+		}
 		var wg sync.WaitGroup
-		wg.Add(nw)
-		for w := 0; w < nw; w++ {
-			lb := scratch[w]
+		wg.Add(workers - 1)
+		for w := 1; w < workers; w++ {
+			fw := &s.fill[w]
 			go func() {
 				defer wg.Done()
-				for {
-					i := lo + int(next.Add(1)) - 1
-					if i > hi {
-						return
-					}
-					s.fillSegment(i, i+length-1, lb)
-				}
+				work(fw)
 			}()
 		}
+		work(&s.fill[0])
 		wg.Wait()
+	}
+	for w := range s.fill {
+		s.rootsEvaluated += s.fill[w].evaluated
+		s.rootsSkipped += s.fill[w].skipped
 	}
 }
 
-// fillSegment computes dp2[i][j][·] and root[i][j]; all shorter segments
-// are already filled. lb is caller-owned scratch of length ≥ n+1.
+// fillBlock fills wavefront block b, rows [n-(b+1)·blockRows+1, n-b·blockRows]
+// clipped at 1, column by column. With wave set it publishes its progress
+// after each column and, for columns reaching above the block, first
+// waits for the block below to complete that column.
+func (s *Solver) fillBlock(b int, w *fillWorker, wave bool) {
+	hi := s.n - b*blockRows
+	lo := max(1, hi-blockRows+1)
+	for j := lo; j <= s.n; j++ {
+		if wave && j > hi {
+			s.progress[b-1].waitFor(j)
+		}
+		for i := min(j, hi); i >= lo; i-- {
+			s.fillSegment(i, j, w)
+		}
+		if wave {
+			s.progress[b].publish(j)
+		}
+	}
+}
+
+// spinWaits is how many times a waiting worker polls the block below
+// before parking: a few microseconds, about one column step of a block.
+const spinWaits = 4096
+
+// waitFor returns once the block has completed column j. It spins
+// briefly, then parks on wake, so that a stalled producer — preempted,
+// or queued behind a GC worker on its processor — can be picked up by
+// the waiter's processor instead of being starved by a yielding spin.
+func (p *blockProgress) waitFor(j int) {
+	for spin := 0; p.col.Load() < int64(j); spin++ {
+		if spin < spinWaits {
+			continue
+		}
+		// The flag is set before the re-check and publish stores col
+		// before reading the flag, so one of the two sees the other.
+		p.waiting.Store(true)
+		if p.col.Load() < int64(j) {
+			<-p.wake
+		}
+		p.waiting.Store(false)
+	}
+}
+
+// publish records that the block has completed column j and wakes its
+// waiter if it parked. A token left over from an earlier wake only makes
+// a later waitFor re-check.
+func (p *blockProgress) publish(j int) {
+	p.col.Store(int64(j))
+	if p.waiting.Load() {
+		select {
+		case p.wake <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// fillSegment computes dp2(i,j,·) and root(i,j); row i left of j and
+// column j below i are already filled.
 //
 // t = 1 is the root search. A classic Knuth-style window
 // r*(i,j-1) ≤ r ≤ r*(i+1,j) would be UNSOUND here: the boundary-traffic
@@ -292,11 +417,12 @@ func (s *Solver) run() {
 // t ≥ 2 peels the first child tree off the segment, directly in
 // prefix-minimum form: a forest of ≤ t trees is either one tree (the
 // t-1 entry already covers it) or a first tree [i,l] plus a forest of
-// ≤ t-1 trees on [l+1,j].
-func (s *Solver) fillSegment(i, j int, lb []int64) {
-	k, T := s.k, s.T
-	offs := s.sc.t.off
-	base := int(offs[i]) + j - i
+// ≤ t-1 trees on [l+1,j]. The first trees are row i of plane 1, the
+// rests column j of plane t-1: both contiguous.
+func (s *Solver) fillSegment(i, j int, w *fillWorker) {
+	P, T := s.planes, s.T
+	base := s.sc.t.at(i, j)
+	cb := colAt(i, j)
 	var best int64
 	var bestR int
 	switch {
@@ -310,26 +436,43 @@ func (s *Solver) fillSegment(i, j int, lb []int64) {
 			}
 		}
 	default:
-		best, bestR = s.prunedRootSearch(i, j, lb)
+		best, bestR = s.prunedRootSearch(i, j, w)
 	}
 	s.root[base] = int32(bestR)
-	s.dp2[base] = best + s.sc.w[base]
-	n := s.n
-	lrow := s.dp2[int(offs[i]) : int(offs[i])+j-i+1] // dp2(i, ·, 1): contiguous
-	for t := 2; t <= k; t++ {
-		prevPlane := s.dp2[(t-2)*T:]
-		b := prevPlane[base] // a forest of ≤ t-1 trees is also one of ≤ t
-		ri := int(offs[i+1]) + j - i - 1
-		// ri tracks tri(l+1, j): row l+2 starts n-l long, so the index
-		// advances by n-l-1 when l steps.
-		for l := i; l < j; l++ {
-			if v := lrow[l-i] + prevPlane[ri]; v < b {
-				b = v
-			}
-			ri += n - l - 1
-		}
-		s.dp2[(t-1)*T+base] = b
+	v := best + s.sc.w[base]
+	s.col[cb] = v
+	s.row1[base] = v
+	if P == 1 {
+		return
 	}
+	first := s.row1[base-(j-i) : base] // dp2(i, l, 1), l = i..j-1
+	for t := 2; t <= P; t++ {
+		prev := s.col[(t-2)*T+cb:]
+		// prev[0]: a forest of ≤ t-1 trees is also one of ≤ t;
+		// prev[1+x] = dp2(i+1+x, j, t-1).
+		s.col[(t-1)*T+cb] = minSum(prev[0], first, prev[1:])
+	}
+	s.rowTop[base] = s.col[(P-1)*T+cb]
+}
+
+// minSum returns min(b, min over x of a[x]+c[x]) for len(c) ≥ len(a).
+// Four independent accumulators keep the loop-carried compare-and-move
+// chain off the critical path.
+func minSum(b int64, a, c []int64) int64 {
+	c = c[:len(a)]
+	b0, b1, b2, b3 := b, b, b, b
+	x := 0
+	for ; x+4 <= len(a); x += 4 {
+		a4, c4 := a[x:x+4:x+4], c[x:x+4:x+4]
+		b0 = min(b0, a4[0]+c4[0])
+		b1 = min(b1, a4[1]+c4[1])
+		b2 = min(b2, a4[2]+c4[2])
+		b3 = min(b3, a4[3]+c4[3])
+	}
+	for ; x < len(a); x++ {
+		b0 = min(b0, a[x]+c[x])
+	}
+	return min(b0, b1, b2, b3)
 }
 
 // prunedRootSearch finds the minimum split cost over all roots of [i,j]
@@ -337,63 +480,64 @@ func (s *Solver) fillSegment(i, j int, lb []int64) {
 // root r, dp2(i,r-1,k-1) + dp2(r+1,j,k-1) is a lower bound on its split
 // cost — it relaxes the dl+dr ≤ k routing-array constraint to dl,dr ≤ k-1
 // — and dp2's monotonicity in t makes the bound admissible. The search
-// bounds every interior root (2 reads each), evaluates the most promising
-// one exactly to seed a tight incumbent, then runs the exact O(k) split
-// only for roots whose bound beats the incumbent. Worst case (bounds all
-// tie, e.g. near-uniform demands) it degrades gracefully to the seed DP's
-// full O(len·k) scan; on skewed demands it removes the k factor.
-func (s *Solver) prunedRootSearch(i, j int, lb []int64) (int64, int) {
-	k, T := s.k, s.T
-	offs := s.sc.t.off
-	top := s.dp2[(k-2)*T:]
-	best := top[int(offs[i+1])+j-i-1] // r = i: right side [i+1,j] gets k-1 slots
+// bounds every interior root (a row walk of the top plane plus a column
+// walk of its mirror), evaluates the most promising one exactly to seed a
+// tight incumbent, then runs the exact O(k) split only for roots whose
+// bound beats the incumbent. Worst case (bounds all tie, e.g. near-uniform
+// demands) it degrades gracefully to the seed DP's full O(len·k) scan; on
+// skewed demands it removes the k factor.
+func (s *Solver) prunedRootSearch(i, j int, w *fillWorker) (int64, int) {
+	top := s.col[(s.planes-1)*s.T:]
+	row := s.rowTop[s.sc.t.at(i, i):] // row[x] = dp2(i, i+x, k'-1)
+	cj := colAt(0, j)                 // top[cj+r] = dp2(r, j, k'-1)
+	best := top[cj+i+1]               // r = i: right side [i+1,j] gets k-1 slots
 	bestR := i
-	if v := top[int(offs[i])+j-1-i]; v < best { // r = j: left side [i,j-1]
+	if v := row[j-1-i]; v < best { // r = j: left side [i,j-1]
 		best, bestR = v, j
 	}
 	if j-i == 1 {
 		return best, bestR
 	}
-	minLB, minR := int64(inf), 0
-	li := int(offs[i]) - i // + (r-1) = tri(i, r-1)
-	for r := i + 1; r < j; r++ {
-		v := top[li+r-1] + top[int(offs[r+1])+j-r-1]
-		lb[r-i] = v
+	// Interior r = i+1+x: left [i, r-1], right [r+1, j].
+	left := row[:j-i-1]
+	right := top[cj+i+2 : cj+j+1]
+	right = right[:len(left)]
+	lb := w.lb[:len(left)]
+	minLB, minX := int64(inf), 0
+	for x, a := range left {
+		v := a + right[x]
+		lb[x] = v
 		if v < minLB {
-			minLB, minR = v, r
+			minLB, minX = v, x
 		}
 	}
-	evaluated, skipped := int64(0), int64(0)
 	if minLB < best {
-		evaluated++
-		if v := s.splitCostBeat(i, minR, j, best); v < best {
-			best, bestR = v, minR
+		w.evaluated++
+		if v := s.splitCostBeat(i, i+1+minX, j, best); v < best {
+			best, bestR = v, i+1+minX
 		}
 	} else {
-		skipped++
+		w.skipped++
 	}
-	for r := i + 1; r < j; r++ {
-		if r == minR {
+	for x, v := range lb {
+		if x == minX {
 			continue // counted in the seeding step above
 		}
-		if lb[r-i] >= best {
-			skipped++
+		if v >= best {
+			w.skipped++
 			continue
 		}
-		evaluated++
-		if v := s.splitCostBeat(i, r, j, best); v < best {
-			best, bestR = v, r
+		w.evaluated++
+		if v := s.splitCostBeat(i, i+1+x, j, best); v < best {
+			best, bestR = v, i+1+x
 		}
 	}
-	s.rootsEvaluated.Add(evaluated)
-	s.rootsSkipped.Add(skipped)
 	return best, bestR
 }
 
 // bestRootSplit re-derives the argmin of the 1-tree cost on [i,j] from the
 // stored root: the root id and the left/right child counts. Recomputing
-// the split on demand keeps the tables at one int64 plane stack plus the
-// int32 root row.
+// the split on demand keeps the split counts out of the tables.
 func (s *Solver) bestRootSplit(i, j int) (r, dl, dr int) {
 	target := s.get2(i, j, 1) - s.sc.W(i, j)
 	r = int(s.root[s.sc.t.at(i, j)])
@@ -405,15 +549,15 @@ func (s *Solver) bestRootSplit(i, j int) (r, dl, dr int) {
 			return r, 0, 0
 		}
 	case leftEmpty:
-		if s.get2(r+1, j, s.k-1) == target {
-			return r, 0, s.minParts(r+1, j, s.k-1)
+		if s.get2(r+1, j, s.planes) == target {
+			return r, 0, s.minParts(r+1, j, s.planes)
 		}
 	case rightEmpty:
-		if s.get2(i, r-1, s.k-1) == target {
-			return r, s.minParts(i, r-1, s.k-1), 0
+		if s.get2(i, r-1, s.planes) == target {
+			return r, s.minParts(i, r-1, s.planes), 0
 		}
 	default:
-		for dl := 1; dl <= s.k-1; dl++ {
+		for dl := 1; dl <= s.planes; dl++ {
 			if s.get2(i, r-1, dl)+s.get2(r+1, j, s.k-dl) == target {
 				return r, s.minParts(i, r-1, dl), s.minParts(r+1, j, s.k-dl)
 			}

@@ -3,6 +3,7 @@ package statictree
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"github.com/ksan-net/ksan/internal/workload"
@@ -189,31 +190,74 @@ func TestSolverSharedSegmentCosts(t *testing.T) {
 	}
 }
 
-// TestSolverWorkerScheduler forces the atomic work-counter fan-out on a
-// small instance (threshold dropped to zero) and checks determinism across
-// worker counts; running under -race additionally proves the scheduler's
-// memory accesses are clean.
-func TestSolverWorkerScheduler(t *testing.T) {
-	old := spawnWorkThreshold
-	spawnWorkThreshold = 0
-	defer func() { spawnWorkThreshold = old }()
-	d := workload.DemandFromTrace(workload.Zipf(40, 3000, 1.1, 5))
-	_, want, err := Optimal(d, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 3, 8} {
-		s, err := NewSolver(d, WithSolverWorkers(workers))
+// TestSolverWavefront checks the row-block wavefront against the serial
+// fill: for worker counts 2, 3 and 8 (more workers than blocks at the
+// small sizes, more than GOMAXPROCS on small hosts) and for n below,
+// equal to and not a multiple of the block height, every Optimal call —
+// repeated and interleaved across arities on the same Solver — returns
+// the serial fill's cost and the same witness tree. Under -race it also
+// proves that the progress counters order every cell write before its
+// reads in the block above.
+func TestSolverWavefront(t *testing.T) {
+	for _, n := range []int{blockRows - 3, blockRows, 3*blockRows + 5} {
+		d := workload.DemandFromTrace(workload.Zipf(n, 60*n, 1.1, int64(n)))
+		serial, err := NewSolver(d, WithSolverWorkers(1))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for trial := 0; trial < 2; trial++ {
-			_, got, err := s.Optimal(4)
+		want := map[int]string{}
+		wantCost := map[int]int64{}
+		for _, k := range []int{4, 3} {
+			tree, cost, err := serial.Optimal(k)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got != want {
-				t.Fatalf("workers=%d trial=%d: cost %d, want %d", workers, trial, got, want)
+			want[k], wantCost[k] = tree.Render(), cost
+		}
+		for _, workers := range []int{2, 3, 8} {
+			s, err := NewSolver(d, WithSolverWorkers(workers))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, k := range []int{4, 3, 4} {
+				tree, cost, err := s.Optimal(k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if cost != wantCost[k] || tree.Render() != want[k] {
+					t.Fatalf("n=%d workers=%d k=%d: cost %d, want %d (witness equal: %v)",
+						n, workers, k, cost, wantCost[k], tree.Render() == want[k])
+				}
+			}
+		}
+	}
+}
+
+// TestSolverArityClamp pins the exact arity clamp: a forest on at most n
+// nodes has at most n trees, so every k ≥ n+1 must give the cost and the
+// witness spec of k = n+1, with the DP table capped at n planes however
+// large k is (k = 1<<20 used to allocate 2²⁰ planes).
+func TestSolverArityClamp(t *testing.T) {
+	for _, n := range []int{1, 2, 17, 40} {
+		d := randomDemand(n, 0.4, int64(n))
+		s, err := NewSolver(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantSpec, wantCost, err := s.solve(n + 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []int{n + 2, 64, 1 << 20} {
+			spec, cost, err := s.solve(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cost != wantCost || !reflect.DeepEqual(spec, wantSpec) {
+				t.Fatalf("n=%d k=%d: cost %d, want %d (spec equal: %v)", n, k, cost, wantCost, reflect.DeepEqual(spec, wantSpec))
+			}
+			if len(s.col) > n*s.T {
+				t.Fatalf("n=%d k=%d: %d table words, want at most n planes (%d)", n, k, len(s.col), n*s.T)
 			}
 		}
 	}
@@ -232,7 +276,7 @@ func TestSolverPruningActuallyPrunes(t *testing.T) {
 	if _, _, err := s.Optimal(8); err != nil {
 		t.Fatal(err)
 	}
-	eval, skip := s.rootsEvaluated.Load(), s.rootsSkipped.Load()
+	eval, skip := s.rootsEvaluated, s.rootsSkipped
 	if skip == 0 || skip < eval {
 		t.Errorf("pruning excluded %d of %d interior roots; expected a majority on a Zipf demand", skip, eval+skip)
 	}
