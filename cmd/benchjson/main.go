@@ -13,7 +13,7 @@
 // The GOMAXPROCS suffix (-N) is stripped from benchmark names so baselines
 // diff cleanly across machines; a benchmark that appears several times
 // (e.g. -count > 1) keeps its minimum ns/op, the conventional
-// noise-resistant summary. scripts/bench_pr4.sh is the canonical producer;
+// noise-resistant summary. scripts/bench.sh is the canonical producer;
 // CI regenerates the file at -benchtime=1x and validates both it and the
 // checked-in baseline against this schema.
 package main

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"github.com/ksan-net/ksan/internal/hist"
 	"github.com/ksan-net/ksan/internal/policy"
 	"github.com/ksan-net/ksan/internal/sim"
 	"github.com/ksan-net/ksan/internal/workload"
@@ -118,12 +119,12 @@ func BenchmarkRecovery(b *testing.B) {
 }
 
 // BenchmarkFaultedLoad is the end-to-end serving run with the fault
-// machinery armed: "idle" measures the standing cost of the faulted owner
-// loop and periodic checkpoints with an empty schedule (the overhead a
-// run pays just for being recoverable), "crash-recover" adds a scripted
+// machinery armed: "idle" measures the standing cost of the replay log
+// and periodic checkpoints with an empty schedule (the overhead a run
+// pays just for being recoverable), "crash-recover" adds a scripted
 // lossless crash per shard mid-run. Compare against
-// BenchmarkLoad/adjusting for the disarmed baseline — the nil-plan path
-// itself is gated by benchdiff to stay bit-identical to PR 8.
+// BenchmarkLoad/adjusting for the same loops without a plan, whose
+// allocation profile benchdiff gates against BENCH_PR8.json.
 func BenchmarkFaultedLoad(b *testing.B) {
 	const n, m = 1024, 50_000
 	const shards = 4
@@ -164,7 +165,7 @@ func BenchmarkFaultedLoad(b *testing.B) {
 // BenchmarkHistObserve is the per-request measurement overhead: one
 // Observe on the hot path.
 func BenchmarkHistObserve(b *testing.B) {
-	var h Hist
+	var h hist.Hist
 	h.Observe(0xfffff) // pre-grow the bucket array
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -176,11 +177,11 @@ func BenchmarkHistObserve(b *testing.B) {
 // BenchmarkHistMerge is the end-of-run cost of folding one client
 // histogram into the aggregate.
 func BenchmarkHistMerge(b *testing.B) {
-	var src Hist
+	var src hist.Hist
 	for v := int64(0); v < 1<<20; v += 97 {
 		src.Observe(v)
 	}
-	var dst Hist
+	var dst hist.Hist
 	dst.Merge(&src) // pre-grow so the measured loop is allocation-free
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -190,7 +191,7 @@ func BenchmarkHistMerge(b *testing.B) {
 }
 
 func BenchmarkHistPercentile(b *testing.B) {
-	var h Hist
+	var h hist.Hist
 	for v := int64(0); v < 1<<20; v += 13 {
 		h.Observe(v)
 	}

@@ -1,10 +1,12 @@
 package serve
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"github.com/ksan-net/ksan/internal/hist"
 	"github.com/ksan-net/ksan/internal/sim"
 	"github.com/ksan-net/ksan/internal/workload"
 )
@@ -20,7 +22,7 @@ const counterFlush = 256
 // sequential-equivalence property compares against a replay).
 type shardAcc struct {
 	requests, routing, adjust int64
-	hist                      Hist
+	hist                      hist.Hist
 }
 
 // clientAcc is everything one client routine measures. Clients never
@@ -30,7 +32,7 @@ type shardAcc struct {
 type clientAcc struct {
 	requests, routing, adjust, cross                 int64 // measurement region
 	warmRequests, warmRouting, warmAdjust, warmCross int64
-	routingHist, latencyHist                         Hist
+	routingHist, latencyHist                         hist.Hist
 	perShard                                         []shardAcc
 	faults                                           FaultStats // client-side ledger slice (timeouts, retries, failed, degraded, late)
 	err                                              error
@@ -46,28 +48,12 @@ type client struct {
 	gen    workload.Generator
 	budget int64 // requests this client may serve; <0 = until stream end
 	acc    clientAcc
-	reply  chan sim.Cost
 
-	// Fault-mode state.
-	freply      chan response
+	reply       chan response
 	seq         uint64 // attempt sequence tag, matches replies to awaits
 	outstanding int    // delivered requests whose replies are unconsumed
 	timer       *time.Timer
 	jit         uint64 // deterministic backoff-jitter stream
-}
-
-// serveLocal serves one local (half-)request on a shard: lock-free
-// through the distance oracle when the shard is frozen, through the owner
-// loop otherwise.
-func (c *client) serveLocal(s *shard, a, b int) sim.Cost {
-	if s.oracle != nil {
-		if a == b {
-			return sim.Cost{}
-		}
-		return sim.Cost{Routing: s.oracle.Dist(a, b)}
-	}
-	s.ch <- request{u: a, v: b, reply: c.reply}
-	return <-c.reply
 }
 
 // resetTimer arms the client's reusable timer (Go 1.23 timer semantics:
@@ -98,13 +84,174 @@ func (c *client) sleepStop(d time.Duration) bool {
 	}
 }
 
+// Half-request outcomes.
+const (
+	outcomeOK       uint8 = iota
+	outcomeDegraded       // served read-only through a stale checkpoint oracle
+	outcomeFailed         // timed out, or down after retries under fail-fast
+)
+
+// lateReply accounts an owner reply that arrived after its attempt's
+// deadline. The shard did serve the half — exactly once, the delivered
+// request was simply slow — so an OK late half stays in the per-shard
+// serve totals (keeping them equal to what the shards actually did) and
+// is ledgered; the request itself was already counted as a timeout.
+func (c *client) lateReply(r response) {
+	if r.status != statusOK {
+		return
+	}
+	c.acc.faults.LateReplies++
+	c.acc.faults.LateRouting += r.cost.Routing
+	sa := &c.acc.perShard[r.shard]
+	sa.requests++
+	sa.routing += r.cost.Routing
+	sa.adjust += r.cost.Adjust
+	sa.hist.Observe(r.cost.Routing)
+}
+
+// drainOutstanding consumes every delivered-but-unconsumed reply before
+// the client exits. This is the invariant that makes shutdown sound:
+// owners never block forever on a reply to a departed client, so Run's
+// close-and-wait drain always terminates.
+func (c *client) drainOutstanding() {
+	for c.outstanding > 0 {
+		r := <-c.reply
+		c.outstanding--
+		c.lateReply(r)
+	}
+}
+
+// maxBackoffDoublings bounds the exponent of the retry backoff: attempts
+// past it wait as long as attempt maxBackoffDoublings.
+const maxBackoffDoublings = 30
+
+// backoffDelay is the wait before retry number attempt+1: base doubled
+// once per attempt, saturating at limit (math.MaxInt64 when limit is 0,
+// i.e. uncapped) rather than wrapping, then scaled by a jitter factor in
+// [1/2, 1] drawn from the top 53 bits of jit.
+func backoffDelay(base, limit time.Duration, attempt int, jit uint64) time.Duration {
+	if base <= 0 {
+		return 0
+	}
+	if limit <= 0 {
+		limit = math.MaxInt64
+	}
+	attempt = min(attempt, maxBackoffDoublings)
+	d := limit
+	if base <= limit>>uint(attempt) {
+		d = base << uint(attempt)
+	}
+	frac := 0.5 + float64(jit>>11)/float64(1<<53)/2
+	if j := float64(d) * frac; j < math.MaxInt64 {
+		return time.Duration(j)
+	}
+	return d // frac rounded to 1 at the int64 edge
+}
+
+// backoff sleeps before retry number attempt+1, drawing its jitter from a
+// splitmix64 stream seeded by (plan.Seed, client id) — a replayed fault
+// schedule backs off identically, run after run.
+func (c *client) backoff(attempt int) {
+	plan := &c.pool.plan
+	if plan.Backoff <= 0 {
+		return
+	}
+	c.jit = mix64(c.jit)
+	c.sleepStop(backoffDelay(plan.Backoff, plan.BackoffCap, attempt, c.jit))
+}
+
+// serveHalf serves one local (half-)request on a shard. A frozen shard
+// answers lock-free through its distance oracle. Otherwise the half goes
+// to the owner loop: a deadline-bounded round trip per attempt, bounded
+// retries with backoff on down replies (each attempt ticks the shard's
+// recovery clock), and the configured degraded fallback once retries run
+// out. Timeouts are never retried — the request may have been delivered,
+// and a delivered request is served exactly once (its late reply is
+// drained). Under the zero plan this is one plain round trip.
+func (c *client) serveHalf(s *shard, a, b int) (sim.Cost, uint8) {
+	if s.oracle != nil {
+		if a == b {
+			return sim.Cost{}, outcomeOK
+		}
+		return sim.Cost{Routing: s.oracle.Dist(a, b)}, outcomeOK
+	}
+	p := c.pool
+	plan := &p.plan
+	deadline := plan.Timeout > 0
+	for attempt := 0; ; attempt++ {
+		c.seq++
+		rq := request{u: a, v: b, seq: c.seq, reply: c.reply}
+		if deadline {
+			c.resetTimer(plan.Timeout)
+			select {
+			case s.ch <- rq:
+			case <-c.timer.C:
+				// Undelivered: nothing outstanding, no late reply to come.
+				c.acc.faults.Timeouts++
+				return sim.Cost{}, outcomeFailed
+			}
+		} else {
+			s.ch <- rq
+		}
+		c.outstanding++
+		var resp response
+		for {
+			if deadline {
+				select {
+				case resp = <-c.reply:
+				case <-c.timer.C:
+					c.acc.faults.Timeouts++
+					return sim.Cost{}, outcomeFailed
+				}
+			} else {
+				resp = <-c.reply
+			}
+			c.outstanding--
+			if resp.seq == rq.seq {
+				break
+			}
+			c.lateReply(resp)
+		}
+		if resp.status == statusOK {
+			return resp.cost, outcomeOK
+		}
+		// Down reply: safe to retry — the shard rejected without serving.
+		if attempt < plan.Retries && !p.stop.Load() {
+			c.acc.faults.Retries++
+			c.backoff(attempt)
+			continue
+		}
+		if plan.Degraded == DegradedStale {
+			if ix := s.stale.Load(); ix != nil {
+				var cost sim.Cost
+				if a != b {
+					cost.Routing = ix.Dist(a, b)
+				}
+				return cost, outcomeDegraded
+			}
+		}
+		return sim.Cost{}, outcomeFailed
+	}
+}
+
 // run drives the client loop. It returns normally on stream end, budget
 // exhaustion, or a pool-wide stop (duration elapsed or context
 // cancelled); a stream error is terminal and recorded in the accumulator.
+//
+// Only fully-OK requests enter the warmup/measured serving totals;
+// degraded and failed requests go to the fault ledger, with OK halves of
+// mixed requests still attributed to their shards, which served them.
+// Without a fault plan every half is OK.
 func (c *client) run() {
 	p := c.pool
+	plan := &p.plan
 	c.acc.perShard = make([]shardAcc, p.part.S)
-	c.reply = make(chan sim.Cost, 1)
+	// Room for late replies: after timeouts a client can owe several
+	// replies at once, and owners should not block on them while it waits
+	// on another shard.
+	c.reply = make(chan response, 8)
+	c.jit = mix64(plan.Seed ^ (uint64(c.id)+1)*0x9e3779b97f4a7c15)
+	defer c.drainOutstanding()
 
 	var interval time.Duration
 	if p.cfg.TargetOps > 0 {
@@ -145,263 +292,13 @@ func (c *client) run() {
 		if timed {
 			t0 = time.Now()
 		}
-		c1 := c.serveLocal(p.shards[r.S1], r.A1, r.B1)
-		var c2 sim.Cost
-		routing, adjust := c1.Routing, c1.Adjust
-		if r.Cross {
-			c2 = c.serveLocal(p.shards[r.S2], r.A2, r.B2)
-			routing += InterShardHop + c2.Routing
-			adjust += c2.Adjust
-		}
-		var lat int64
-		if timed {
-			lat = int64(time.Since(t0))
-		}
-
-		sa := &c.acc.perShard[r.S1]
-		sa.requests++
-		sa.routing += c1.Routing
-		sa.adjust += c1.Adjust
-		sa.hist.Observe(c1.Routing)
-		if r.Cross {
-			sa2 := &c.acc.perShard[r.S2]
-			sa2.requests++
-			sa2.routing += c2.Routing
-			sa2.adjust += c2.Adjust
-			sa2.hist.Observe(c2.Routing)
-		}
-		if served < warmup {
-			c.acc.warmRequests++
-			c.acc.warmRouting += routing
-			c.acc.warmAdjust += adjust
-			if r.Cross {
-				c.acc.warmCross++
-			}
-		} else {
-			c.acc.requests++
-			c.acc.routing += routing
-			c.acc.adjust += adjust
-			if r.Cross {
-				c.acc.cross++
-			}
-			c.acc.routingHist.Observe(routing)
-			if timed {
-				c.acc.latencyHist.Observe(lat)
-			}
-		}
-
-		served++
-		unflushed++
-		if unflushed == counterFlush {
-			p.served.Add(unflushed)
-			unflushed = 0
-		}
-	}
-	if unflushed > 0 {
-		p.served.Add(unflushed)
-	}
-}
-
-// Half-request outcomes of the faulted serve path.
-const (
-	outcomeOK       uint8 = iota
-	outcomeDegraded       // served read-only through a stale checkpoint oracle
-	outcomeFailed         // timed out, or down after retries under fail-fast
-)
-
-// lateReply accounts an owner reply that arrived after its attempt's
-// deadline. The shard did serve the half — exactly once, the delivered
-// request was simply slow — so an OK late half stays in the per-shard
-// serve totals (keeping them equal to what the shards actually did) and
-// is ledgered; the request itself was already counted as a timeout.
-func (c *client) lateReply(r response) {
-	if r.status != statusOK {
-		return
-	}
-	c.acc.faults.LateReplies++
-	c.acc.faults.LateRouting += r.cost.Routing
-	sa := &c.acc.perShard[r.shard]
-	sa.requests++
-	sa.routing += r.cost.Routing
-	sa.adjust += r.cost.Adjust
-	sa.hist.Observe(r.cost.Routing)
-}
-
-// drainOutstanding consumes every delivered-but-unconsumed reply before
-// the client exits. This is the invariant that makes shutdown sound:
-// owners never block forever on a reply to a departed client, so Run's
-// close-and-wait drain always terminates.
-func (c *client) drainOutstanding() {
-	for c.outstanding > 0 {
-		r := <-c.freply
-		c.outstanding--
-		c.lateReply(r)
-	}
-}
-
-// backoff sleeps before retry number attempt+1: exponential from
-// plan.Backoff, capped at plan.BackoffCap, with deterministic jitter in
-// [1/2, 1) drawn from a splitmix64 stream seeded by (plan.Seed, client
-// id) — a replayed fault schedule backs off identically, run after run.
-func (c *client) backoff(attempt int) {
-	plan := c.pool.plan
-	if plan.Backoff <= 0 {
-		return
-	}
-	if attempt > 30 {
-		attempt = 30
-	}
-	d := plan.Backoff << uint(attempt)
-	if d <= 0 { // overflowed
-		d = plan.BackoffCap
-	}
-	if plan.BackoffCap > 0 && d > plan.BackoffCap {
-		d = plan.BackoffCap
-	}
-	c.jit = mix64(c.jit)
-	frac := 0.5 + float64(c.jit>>11)/float64(1<<53)/2
-	c.sleepStop(time.Duration(float64(d) * frac))
-}
-
-// serveHalfFaulted serves one local half through the faulted owner
-// protocol: a deadline-bounded round trip per attempt, bounded retries
-// with backoff on down replies (each attempt ticks the shard's recovery
-// clock), and the configured degraded fallback once retries run out.
-// Timeouts are never retried — the request may have been delivered, and a
-// delivered request is served exactly once (its late reply is drained).
-func (c *client) serveHalfFaulted(s *shard, a, b int) (sim.Cost, uint8) {
-	p := c.pool
-	plan := p.plan
-	for attempt := 0; ; attempt++ {
-		c.seq++
-		seq := c.seq
-		deadline := plan.Timeout > 0
-		if deadline {
-			c.resetTimer(plan.Timeout)
-		}
-		rq := frequest{u: a, v: b, seq: seq, reply: c.freply}
-		if deadline {
-			select {
-			case s.fch <- rq:
-				c.outstanding++
-			case <-c.timer.C:
-				// Undelivered: nothing outstanding, no late reply to come.
-				c.acc.faults.Timeouts++
-				return sim.Cost{}, outcomeFailed
-			}
-		} else {
-			s.fch <- rq
-			c.outstanding++
-		}
-		var resp response
-		timedOut := false
-		for {
-			if deadline {
-				select {
-				case r := <-c.freply:
-					c.outstanding--
-					if r.seq != seq {
-						c.lateReply(r)
-						continue
-					}
-					resp = r
-				case <-c.timer.C:
-					timedOut = true
-				}
-			} else {
-				r := <-c.freply
-				c.outstanding--
-				if r.seq != seq {
-					c.lateReply(r)
-					continue
-				}
-				resp = r
-			}
-			break
-		}
-		if timedOut {
-			c.acc.faults.Timeouts++
-			return sim.Cost{}, outcomeFailed
-		}
-		if resp.status == statusOK {
-			return resp.cost, outcomeOK
-		}
-		// Down reply: safe to retry — the shard rejected without serving.
-		if attempt < plan.Retries && !p.stop.Load() {
-			c.acc.faults.Retries++
-			c.backoff(attempt)
-			continue
-		}
-		if plan.Degraded == DegradedStale {
-			if ix := s.stale.Load(); ix != nil {
-				var cost sim.Cost
-				if a != b {
-					cost.Routing = ix.Dist(a, b)
-				}
-				return cost, outcomeDegraded
-			}
-		}
-		return sim.Cost{}, outcomeFailed
-	}
-}
-
-// runFaulted is the client loop with a fault plan armed. Structure and
-// accounting order mirror run exactly; the differences are the faulted
-// half-request protocol and the outcome split: only fully-OK requests
-// enter the warmup/measured serving totals, degraded and failed requests
-// go to the fault ledger (with OK halves of mixed requests still
-// attributed to their shards, which served them).
-func (c *client) runFaulted() {
-	p := c.pool
-	plan := p.plan
-	c.acc.perShard = make([]shardAcc, p.part.S)
-	c.freply = make(chan response, 8)
-	c.jit = mix64(plan.Seed ^ (uint64(c.id)+1)*0x9e3779b97f4a7c15)
-	defer c.drainOutstanding()
-
-	var interval time.Duration
-	if p.cfg.TargetOps > 0 {
-		perClient := p.cfg.TargetOps / float64(p.cfg.Clients)
-		interval = time.Duration(float64(time.Second) / perClient)
-	}
-	sample := p.cfg.LatencySample
-	warmup := int64(p.cfg.Warmup)
-
-	var served, unflushed int64
-	start := time.Now()
-	var r Route
-	for rq, err := range c.gen.Requests() {
-		if err != nil {
-			c.acc.err = err
-			break
-		}
-		if c.budget >= 0 && served >= c.budget {
-			break
-		}
-		if p.stop.Load() {
-			break
-		}
-		if interval > 0 {
-			if wait := time.Until(start.Add(time.Duration(served) * interval)); wait > 0 {
-				if !c.sleepStop(wait) {
-					break
-				}
-			}
-		}
-
-		p.part.Route(rq.Src, rq.Dst, &r)
-		timed := sample > 0 && served%int64(sample) == 0
-		var t0 time.Time
-		if timed {
-			t0 = time.Now()
-		}
-		c1, o1 := c.serveHalfFaulted(p.shards[r.S1], r.A1, r.B1)
+		c1, o1 := c.serveHalf(p.shards[r.S1], r.A1, r.B1)
 		var c2 sim.Cost
 		o2 := outcomeOK
 		if r.Cross && o1 != outcomeFailed {
 			// A failed source half fails the request; don't disturb the
 			// destination shard for a request that cannot complete.
-			c2, o2 = c.serveHalfFaulted(p.shards[r.S2], r.A2, r.B2)
+			c2, o2 = c.serveHalf(p.shards[r.S2], r.A2, r.B2)
 		}
 		var lat int64
 		if timed {
@@ -476,7 +373,7 @@ type pool struct {
 	cfg      Config
 	part     *Partition
 	shards   []*shard
-	plan     *FaultPlan // nil: faults disarmed, PR 8 fast path
+	plan     FaultPlan // the zero plan when faults are off: no deadline, retries or fallback
 	stop     atomic.Bool
 	stopCh   chan struct{}
 	stopOnce sync.Once
@@ -503,9 +400,6 @@ func (p *pool) shutdownShards() {
 		}
 		if s.ch != nil {
 			close(s.ch)
-		}
-		if s.fch != nil {
-			close(s.fch)
 		}
 	}
 	for _, s := range p.shards {

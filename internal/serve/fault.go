@@ -84,9 +84,9 @@ type FaultEvent struct {
 }
 
 // FaultPlan scripts the faults of one serving run and configures the
-// robustness machinery around them. The zero plan is invalid; a nil
-// *FaultPlan in Config means faults are disarmed and the serving layer
-// runs its unchanged PR 8 hot path.
+// robustness machinery around them. A nil *FaultPlan in Config disarms
+// faults: the same owner and client loops run with no checkpoints, no
+// events, no deadlines and no retries.
 type FaultPlan struct {
 	// CheckpointEvery is the per-shard checkpoint interval in local
 	// serves (0 = DefaultCheckpointEvery). Between checkpoints each shard
@@ -105,8 +105,9 @@ type FaultPlan struct {
 	// "down" reply (each attempt ticks the shard's recovery clock).
 	Retries int
 	// Backoff is the base delay before the first retry, doubling per
-	// attempt up to BackoffCap, with deterministic jitter in [1/2, 1)
-	// seeded by (Seed, client id). 0 retries immediately.
+	// attempt (at most 30 doublings) and saturating at BackoffCap (0 =
+	// uncapped), with deterministic jitter in [1/2, 1] seeded by (Seed,
+	// client id). 0 retries immediately.
 	Backoff    time.Duration
 	BackoffCap time.Duration
 	// Seed seeds the backoff jitter stream.
@@ -116,8 +117,12 @@ type FaultPlan struct {
 	Events []FaultEvent
 }
 
-// checkpointInterval resolves the configured interval.
+// checkpointInterval resolves the configured interval; a nil plan has
+// none (0: no replay log, no checkpoints).
 func (p *FaultPlan) checkpointInterval() int64 {
+	if p == nil {
+		return 0
+	}
 	if p.CheckpointEvery == 0 {
 		return DefaultCheckpointEvery
 	}

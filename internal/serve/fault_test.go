@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -420,7 +421,7 @@ func TestServeMkFailureShutsDownOwners(t *testing.T) {
 	}
 	waitForGoroutines(t, before)
 
-	// Same property with a fault plan armed (faulted owner loops).
+	// Same property with a fault plan armed (every shard checkpointable).
 	built = 0
 	before = runtime.NumGoroutine()
 	_, err = Run(context.Background(),
@@ -502,4 +503,177 @@ func TestServeCancelMidFlight(t *testing.T) {
 	if full.Requests != m {
 		t.Errorf("post-cancel run served %d, want the full stream %d", full.Requests, m)
 	}
+}
+
+// TestBackoffDelay pins the retry backoff schedule: doubling from the
+// base, capped, and saturating instead of wrapping when the shift
+// overflows. jit 0 draws the smallest jitter factor (1/2), an all-ones
+// jit the largest (exactly 1 after rounding).
+func TestBackoffDelay(t *testing.T) {
+	const uncapped = 0
+	for _, tc := range []struct {
+		name        string
+		base, limit time.Duration
+		attempt     int
+		want        time.Duration // before jitter
+	}{
+		{"no backoff", 0, time.Second, 3, 0},
+		{"first retry", time.Millisecond, uncapped, 0, time.Millisecond},
+		{"doubling", time.Millisecond, uncapped, 3, 8 * time.Millisecond},
+		{"under the cap", time.Millisecond, 10 * time.Millisecond, 3, 8 * time.Millisecond},
+		{"at the cap", time.Millisecond, 5 * time.Millisecond, 3, 5 * time.Millisecond},
+		{"base above the cap", 10 * time.Millisecond, 5 * time.Millisecond, 0, 5 * time.Millisecond},
+		{"doublings stop at 30", time.Nanosecond, uncapped, 40, 1 << 30},
+		// base<<30 wraps to 2^30 ns (1.07s), not past the 60s cap.
+		{"wrap below the cap", 1<<34 + 1, time.Minute, 30, time.Minute},
+		// 10s<<30 wraps to exactly 0: an immediate retry.
+		{"wrap to zero uncapped", 10 * time.Second, uncapped, 30, math.MaxInt64},
+		{"largest base uncapped", math.MaxInt64, uncapped, 1, math.MaxInt64},
+	} {
+		if got := backoffDelay(tc.base, tc.limit, tc.attempt, ^uint64(0)); got != tc.want {
+			t.Errorf("%s: full-jitter delay %v, want %v", tc.name, got, tc.want)
+		}
+		if got, want := backoffDelay(tc.base, tc.limit, tc.attempt, 0), time.Duration(float64(tc.want)/2); got != want {
+			t.Errorf("%s: half-jitter delay %v, want %v", tc.name, got, want)
+		}
+	}
+}
+
+// fuzzShards, fuzzM and fuzzGen are FuzzFaultPlan's run: two shards of
+// 127 uniform-random nodes. Uniform, because on a repetitive trace most
+// requests leave the tree as it is, so a replay that drops some of them
+// can still reproduce the totals. Short, so that plans which back off on
+// every request (each sleep wakes up late) stay well under a second.
+const fuzzShards, fuzzM = 2, 1000
+
+var fuzzGen = workload.UniformGen(127, fuzzM, 42)
+
+// planFromBytes decodes a fault plan from fuzz input; bytes past the end
+// read as zero. Every field can take invalid values (negative durations
+// and counts, an unknown mode or kind, a shard or trigger point out of
+// range), and wall-clock fields are in microseconds so that valid plans
+// stay fast.
+func planFromBytes(data []byte) *FaultPlan {
+	next := func() byte {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return b
+	}
+	u16 := func() uint16 { return uint16(next())<<8 | uint16(next()) }
+	p := &FaultPlan{
+		CheckpointEvery: int64(int16(u16())),
+		Timeout:         time.Duration(int8(next())) * 20 * time.Microsecond,
+		Retries:         int(int8(next())) % 4,
+		Backoff:         time.Duration(int8(next())%64) * time.Microsecond,
+		BackoffCap:      time.Duration(next()) * time.Microsecond,
+		Degraded:        DegradedMode(next() % 3),
+		Seed:            uint64(next()),
+	}
+	for range next() % 5 {
+		p.Events = append(p.Events, FaultEvent{
+			Shard:        int(next() % (fuzzShards + 1)),
+			At:           int64(u16()),
+			Kind:         FaultKind(next() % 3),
+			RecoverAfter: int64(int8(next())),
+			Stall:        time.Duration(next()) * time.Microsecond,
+		})
+	}
+	return p
+}
+
+// planBytes encodes p for planFromBytes; p's fields must be in the
+// decodable ranges.
+func planBytes(p *FaultPlan) []byte {
+	us := func(d time.Duration) byte { return byte(d / time.Microsecond) }
+	b := []byte{byte(p.CheckpointEvery >> 8), byte(p.CheckpointEvery),
+		byte(p.Timeout / (20 * time.Microsecond)), byte(p.Retries), us(p.Backoff), us(p.BackoffCap),
+		byte(p.Degraded), byte(p.Seed), byte(len(p.Events))}
+	for _, ev := range p.Events {
+		b = append(b, byte(ev.Shard), byte(ev.At>>8), byte(ev.At), byte(ev.Kind), byte(ev.RecoverAfter), us(ev.Stall))
+	}
+	return b
+}
+
+// FuzzFaultPlan drives arbitrary fault plans through Run. A plan is
+// either rejected by validation (and by Run) or runs to completion, and
+// every accepted run conserves requests: each one the clients drew ends
+// measured, warmup, failed or degraded. A plan of lossless crashes only
+// (RecoverAfter 0, no deadline) served by one client must also leave
+// every shard with exactly the totals of a sequential replay of its
+// Partition.Project subsequence — recovery is invisible.
+func FuzzFaultPlan(f *testing.F) {
+	part, err := NewPartition(fuzzGen.Nodes(), fuzzShards)
+	if err != nil {
+		f.Fatal(err)
+	}
+	proj := part.Project(collect(f, fuzzGen))
+	var wantRouting, wantAdjust [fuzzShards]int64
+	for sh, reqs := range proj {
+		wantRouting[sh], wantAdjust[sh] = replay(f, mkKary, part.Size(sh), reqs)
+	}
+
+	// The three-crash golden schedule (TestRecoveryEquivalenceGolden), as
+	// is and scaled to this run: mid-interval, on a checkpoint boundary,
+	// one short of shard 0's last serve.
+	f.Add(planBytes(&FaultPlan{CheckpointEvery: 1000, Events: []FaultEvent{
+		{Shard: 0, At: 1500, Kind: FaultCrash},
+		{Shard: 0, At: 3000, Kind: FaultCrash},
+		{Shard: 0, At: 49_999, Kind: FaultCrash},
+	}}))
+	f.Add(planBytes(&FaultPlan{CheckpointEvery: 100, Events: []FaultEvent{
+		{Shard: 0, At: 150, Kind: FaultCrash},
+		{Shard: 0, At: 300, Kind: FaultCrash},
+		{Shard: 0, At: int64(len(proj[0])) - 1, Kind: FaultCrash},
+	}}))
+	f.Add(planBytes(&FaultPlan{CheckpointEvery: 100, Degraded: DegradedStale, Retries: 2,
+		Backoff: 5 * time.Microsecond, BackoffCap: 20 * time.Microsecond,
+		Events: []FaultEvent{{Shard: 1, At: 400, Kind: FaultCrash, RecoverAfter: -1}}}))
+	f.Add(planBytes(&FaultPlan{Timeout: 100 * time.Microsecond, Retries: 1,
+		Events: []FaultEvent{
+			{Shard: 0, At: 200, Kind: FaultStall, Stall: 250 * time.Microsecond},
+			{Shard: 1, At: 300, Kind: FaultCrash, RecoverAfter: 5},
+		}}))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		plan := planFromBytes(data)
+		_, invalid := plan.validate(fuzzShards)
+		lossless := plan.Timeout == 0
+		for _, ev := range plan.Events {
+			lossless = lossless && ev.Kind == FaultCrash && ev.RecoverAfter == 0
+		}
+		cfg := Config{Shards: fuzzShards, Clients: 2, Warmup: 50, Faults: plan}
+		if lossless {
+			cfg.Clients = 1
+		}
+		stats, err := Run(context.Background(), cfg, mkKary, fuzzGen)
+		if invalid != nil {
+			if err == nil {
+				t.Fatalf("Run accepted a plan validate rejects (%v): %+v", invalid, *plan)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("valid plan %+v: %v", *plan, err)
+		}
+		fs := stats.Faults
+		if got := stats.Requests + stats.WarmupRequests + fs.FailedRequests + fs.DegradedRequests; got != fuzzM {
+			t.Fatalf("measured %d + warmup %d + failed %d + degraded %d = %d, want %d drawn (plan %+v)",
+				stats.Requests, stats.WarmupRequests, fs.FailedRequests, fs.DegradedRequests, got, fuzzM, *plan)
+		}
+		if !lossless {
+			return
+		}
+		if fs.FailedRequests != 0 || fs.DegradedRequests != 0 || fs.Rejected != 0 {
+			t.Fatalf("lossless plan lost requests: %+v", *fs)
+		}
+		for sh, ps := range stats.PerShard {
+			if ps.Routing != wantRouting[sh] || ps.Adjust != wantAdjust[sh] {
+				t.Fatalf("shard %d: routing/adjust %d/%d, projected replay %d/%d (plan %+v)",
+					sh, ps.Routing, ps.Adjust, wantRouting[sh], wantAdjust[sh], *plan)
+			}
+		}
+	})
 }

@@ -1,3 +1,25 @@
+// Package serve is the concurrent sharded serving front-end: it turns the
+// strictly-sequential evaluation engine into a system that serves a
+// request stream from many client routines at once (ROADMAP item 1).
+//
+// The node space 1..n is hash-partitioned across S independent shards,
+// each owning a private network instance (its tree, trigger state and
+// demand window) behind a single-writer owner goroutine; a deterministic
+// router maps every request to the shard(s) that serve it, charging
+// cross-shard pairs under a documented inter-shard cost rule; and C
+// closed-loop client routines drive the shards, each iterating its own
+// private pass of the workload stream (workload.SplitGen — the YCSB
+// per-routine-state pattern, no locks on the request hot path). Frozen
+// shards — compositions whose trigger can never fire, detected through
+// the StaticOracle hook — are served lock-free by the clients themselves
+// through the shard's Euler-tour/RMQ distance oracle; every other shard
+// serializes exclusively through its owner loop, preserving the
+// repository-wide single-writer contract on serve paths (DESIGN.md §11).
+//
+// Measurement is bounded-memory by construction: every per-request
+// observation goes into a mergeable log-bucketed hist.Hist, so per-client
+// and per-shard statistics combine into global percentiles without sample
+// buffers (ROADMAP item 3's OneMeasurement shape).
 package serve
 
 import (
@@ -6,6 +28,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/ksan-net/ksan/internal/hist"
 	"github.com/ksan-net/ksan/internal/sim"
 	"github.com/ksan-net/ksan/internal/workload"
 )
@@ -54,8 +77,9 @@ type Config struct {
 	// Faults arms the deterministic fault-injection machinery (DESIGN.md
 	// §12): scripted crashes/stalls at logical trigger points, periodic
 	// checkpoints with snapshot+replay recovery, client deadlines/retries,
-	// and degraded-mode serving. nil (the default) disarms everything and
-	// the run uses the unchanged PR 8 hot path. With a plan armed, every
+	// and degraded-mode serving. nil (the default) disarms everything: the
+	// same owner and client loops run, but take no checkpoints, keep no
+	// replay log and never time out or retry. With a plan armed, every
 	// shard — frozen included — is served through its owner loop, and
 	// every shard network must support exact checkpoint/restore
 	// (tree-backed policy compositions do; custom substrates are
@@ -79,7 +103,7 @@ type ShardStats struct {
 	Requests int64 // local serve calls (a cross-shard request counts on both shards)
 	Routing  int64
 	Adjust   int64
-	Hist     *Hist // local serve routing costs
+	Hist     *hist.Hist // local serve routing costs
 	// Local is the processed local request sequence (RecordLocal runs
 	// only; nil otherwise).
 	Local []sim.Request
@@ -112,8 +136,8 @@ type Stats struct {
 	WarmupAdjust   int64
 	WarmupCross    int64
 
-	RoutingHist *Hist // full per-request routing cost (hop included), measured region
-	LatencyHist *Hist // sampled closed-loop latency, nanoseconds, measured region
+	RoutingHist *hist.Hist // full per-request routing cost (hop included), measured region
+	LatencyHist *hist.Hist // sampled closed-loop latency, nanoseconds, measured region
 
 	PerShard []ShardStats
 
@@ -165,8 +189,10 @@ func Run(ctx context.Context, cfg Config, mk func(n int) (sim.Network, error), g
 			return nil, err
 		}
 	}
-	p := &pool{cfg: cfg, part: part, shards: make([]*shard, cfg.Shards),
-		plan: cfg.Faults, stopCh: make(chan struct{})}
+	p := &pool{cfg: cfg, part: part, shards: make([]*shard, cfg.Shards), stopCh: make(chan struct{})}
+	if cfg.Faults != nil {
+		p.plan = *cfg.Faults
+	}
 	for i := range p.shards {
 		net, err := mk(part.Size(i))
 		if err != nil {
@@ -176,8 +202,9 @@ func Run(ctx context.Context, cfg Config, mk func(n int) (sim.Network, error), g
 		}
 		s := &shard{id: i, nodes: part.Size(i), net: net, record: cfg.RecordLocal}
 		if cfg.Faults != nil {
-			// Fault mode: every shard is served through a faulted owner
-			// loop and must support exact checkpoint/restore.
+			// Every shard, frozen included, is served through its owner
+			// loop (the lock-free oracle cannot inject faults) and must
+			// support exact checkpoint/restore.
 			rec, ok := net.(recoverable)
 			if !ok || !rec.Checkpointable() {
 				p.shutdownShards()
@@ -186,23 +213,15 @@ func Run(ctx context.Context, cfg Config, mk func(n int) (sim.Network, error), g
 			}
 			s.recov = rec
 			s.events = events[i]
-			s.fch = make(chan frequest, cfg.Clients)
-			s.done = make(chan struct{})
-			go s.runFaulted(cfg.Faults)
-			p.shards[i] = s
-			continue
-		}
-		if !cfg.RecordLocal {
-			if ss, ok := net.(staticServer); ok {
-				if ix, frozen := ss.StaticOracle(); frozen {
-					s.oracle = ix
-				}
+		} else if ss, ok := net.(staticServer); ok && !cfg.RecordLocal {
+			if ix, frozen := ss.StaticOracle(); frozen {
+				s.oracle = ix
 			}
 		}
 		if s.oracle == nil {
 			s.ch = make(chan request, cfg.Clients)
 			s.done = make(chan struct{})
-			go s.run()
+			go s.run(cfg.Faults)
 		}
 		p.shards[i] = s
 	}
@@ -267,11 +286,7 @@ func Run(ctx context.Context, cfg Config, mk func(n int) (sim.Network, error), g
 		wg.Add(1)
 		go func(c *client) {
 			defer wg.Done()
-			if p.plan != nil {
-				c.runFaulted()
-			} else {
-				c.run()
-			}
+			c.run()
 		}(clients[i])
 	}
 	wg.Wait()
@@ -287,11 +302,11 @@ func Run(ctx context.Context, cfg Config, mk func(n int) (sim.Network, error), g
 		Clients: cfg.Clients,
 		Elapsed: elapsed,
 	}
-	stats.RoutingHist = new(Hist)
-	stats.LatencyHist = new(Hist)
+	stats.RoutingHist = new(hist.Hist)
+	stats.LatencyHist = new(hist.Hist)
 	stats.PerShard = make([]ShardStats, cfg.Shards)
 	for i, s := range p.shards {
-		stats.PerShard[i] = ShardStats{Shard: i, Nodes: s.nodes, Hist: new(Hist), Local: s.local,
+		stats.PerShard[i] = ShardStats{Shard: i, Nodes: s.nodes, Hist: new(hist.Hist), Local: s.local,
 			Crashes: s.faults.Crashes, Recoveries: s.faults.Recoveries,
 			Checkpoints: s.faults.Checkpoints, Replayed: s.faults.ReplayedRequests,
 			Rejected: s.faults.Rejected}

@@ -25,7 +25,7 @@ func mkFrozen(n int) (sim.Network, error) {
 }
 
 // collect materializes a generator stream.
-func collect(t *testing.T, g workload.Generator) []sim.Request {
+func collect(t testing.TB, g workload.Generator) []sim.Request {
 	t.Helper()
 	var reqs []sim.Request
 	for rq, err := range g.Requests() {
@@ -40,7 +40,7 @@ func collect(t *testing.T, g workload.Generator) []sim.Request {
 // replay serves a local request sequence sequentially on a fresh net and
 // returns its cost totals — the sequential-semantics reference the
 // concurrent layer must match shard for shard.
-func replay(t *testing.T, mk func(n int) (sim.Network, error), n int, reqs []sim.Request) (routing, adjust int64) {
+func replay(t testing.TB, mk func(n int) (sim.Network, error), n int, reqs []sim.Request) (routing, adjust int64) {
 	t.Helper()
 	net, err := mk(n)
 	if err != nil {

@@ -22,19 +22,12 @@ type staticServer interface {
 	StaticOracle() (*statictree.DistIndex, bool)
 }
 
-// request is one unit of work sent to a shard's owner loop. The reply
-// channel is client-owned and reused across requests (capacity 1), so the
-// closed-loop hot path allocates nothing per request.
+// request is one unit of work sent to a shard's owner loop. Requests
+// carry a client sequence number so that a reply arriving after its
+// deadline can be told apart from the reply being awaited. The reply
+// channel is client-owned and reused across requests, so the closed-loop
+// hot path allocates nothing per request.
 type request struct {
-	u, v  int
-	reply chan sim.Cost
-}
-
-// frequest is the fault-mode unit of work: requests carry a client
-// sequence number so a reply that arrives after its deadline can be told
-// apart from the reply being awaited, and replies carry a status so a
-// downed shard can refuse without serving.
-type frequest struct {
 	u, v  int
 	seq   uint64
 	reply chan response
@@ -46,7 +39,8 @@ const (
 	statusDown
 )
 
-// response is one fault-mode owner reply.
+// response is one owner reply; a downed shard refuses with statusDown
+// without serving.
 type response struct {
 	cost   sim.Cost
 	seq    uint64
@@ -59,23 +53,22 @@ type response struct {
 // rotations, trigger state, demand windows, churn scratch — happens
 // inside the owner loop, which is what makes serving concurrent without
 // any locks on network state (the single-writer rule, DESIGN.md §11).
-// Frozen shards additionally carry their distance oracle; clients serve
-// those without ever touching the loop. When a fault plan is armed every
-// shard — frozen included — runs the faulted owner loop instead, which
-// adds checkpointing, crash/stall injection, and snapshot+replay
-// recovery (DESIGN.md §12).
+// Frozen shards of a fault-free run carry their distance oracle instead
+// and have no owner loop: clients serve them lock-free. With a fault plan
+// armed every shard, frozen included, has an owner loop, and that loop
+// also checkpoints, fires the scripted crashes and stalls, and recovers
+// by snapshot plus replay (DESIGN.md §12).
 type shard struct {
 	id     int
 	nodes  int
 	net    sim.Network
 	oracle *statictree.DistIndex // non-nil: frozen, clients serve lock-free
 	ch     chan request
-	fch    chan frequest
 	done   chan struct{}
 	record bool
 	local  []sim.Request // processed local sequence, when record is set
 
-	// Fault-mode state (owner-goroutine-private except stale).
+	// Fault state (owner-goroutine-private except stale); unused without a plan.
 	recov       recoverable
 	events      []FaultEvent
 	wal         []sim.Request // post-checkpoint replay log, bounded by the checkpoint interval
@@ -87,20 +80,6 @@ type shard struct {
 	stale atomic.Pointer[statictree.DistIndex]
 
 	faults FaultStats // owner-side ledger slice (crashes, recoveries, checkpoints, replays, stalls, rejections)
-}
-
-// run is the owner loop: the only goroutine that ever calls Serve on this
-// shard's network. It drains the request channel in arrival order, which
-// defines the shard's local request sequence — the sequence the
-// sequential-equivalence property replays.
-func (s *shard) run() {
-	defer close(s.done)
-	for rq := range s.ch {
-		if s.record {
-			s.local = append(s.local, sim.Request{Src: rq.u, Dst: rq.v})
-		}
-		rq.reply <- s.net.Serve(rq.u, rq.v)
-	}
 }
 
 // checkpoint snapshots the shard's full cost-relevant network state,
@@ -119,23 +98,31 @@ func (s *shard) checkpoint(cp *policy.Checkpoint, publishStale bool) {
 	}
 }
 
-// runFaulted is the owner loop with the fault machinery armed: it
-// checkpoints every interval serves, fires the scripted events at their
-// logical trigger points, rejects arrivals while down, and recovers by
-// restoring the last checkpoint and replaying the post-checkpoint log —
-// which provably rebuilds the exact pre-crash state (the policy layer's
-// checkpoint-restore equivalence), so a recovered shard's subsequent
-// serves are bit-identical to a run that never crashed.
-func (s *shard) runFaulted(plan *FaultPlan) {
+// run is the owner loop: the only goroutine that ever calls Serve on this
+// shard's network. It drains the request channel in arrival order, which
+// defines the shard's local request sequence — the sequence the
+// sequential-equivalence property replays.
+//
+// With a fault plan it also checkpoints every interval serves, fires the
+// scripted events at their logical trigger points, rejects arrivals while
+// down, and recovers by restoring the last checkpoint and replaying the
+// post-checkpoint log — which provably rebuilds the exact pre-crash state
+// (the policy layer's checkpoint-restore equivalence), so a recovered
+// shard's subsequent serves are bit-identical to a run that never
+// crashed. A nil plan has interval 0 and no events: nothing is logged or
+// checkpointed, and the shard is never down.
+func (s *shard) run(plan *FaultPlan) {
 	defer close(s.done)
 	interval := plan.checkpointInterval()
-	publishStale := plan.Degraded == DegradedStale
+	publishStale := plan != nil && plan.Degraded == DegradedStale
 	var cp policy.Checkpoint
-	s.checkpoint(&cp, publishStale) // recovery point for a crash before the first interval
+	if interval > 0 {
+		s.checkpoint(&cp, publishStale) // recovery point for a crash before the first interval
+	}
 	evIdx := 0
 	down := false
 	var downRemaining int64
-	for rq := range s.fch {
+	for rq := range s.ch {
 		if down {
 			if downRemaining != 0 {
 				if downRemaining > 0 {
@@ -164,14 +151,17 @@ func (s *shard) runFaulted(plan *FaultPlan) {
 			s.local = append(s.local, sim.Request{Src: rq.u, Dst: rq.v})
 		}
 		cost := s.net.Serve(rq.u, rq.v)
-		s.wal = append(s.wal, sim.Request{Src: rq.u, Dst: rq.v})
 		s.localServed++
 		rq.reply <- response{cost: cost, seq: rq.seq, shard: int32(s.id)}
-		// Post-serve boundaries: the checkpoint first, then any event at
-		// the same point — a crash scheduled on a checkpoint boundary
-		// loses nothing and replays nothing.
-		if s.localServed%interval == 0 {
-			s.checkpoint(&cp, publishStale)
+		if interval > 0 {
+			// Post-serve boundaries: the checkpoint first, then any event
+			// at the same point — a crash scheduled on a checkpoint
+			// boundary loses nothing and replays nothing.
+			if s.localServed%interval == 0 {
+				s.checkpoint(&cp, publishStale)
+			} else {
+				s.wal = append(s.wal, sim.Request{Src: rq.u, Dst: rq.v})
+			}
 		}
 		for evIdx < len(s.events) && s.events[evIdx].At == s.localServed {
 			ev := s.events[evIdx]

@@ -16,7 +16,7 @@ func benchDemand(n int) *workload.Demand {
 
 // BenchmarkOptimal is the PR 4 perf-trajectory grid: one cubic-DP solve per
 // (n, k). BENCH_PR4.json at the repo root records this machine's baseline;
-// future PRs diff against it (scripts/bench_pr4.sh regenerates it).
+// future PRs diff against it (scripts/bench.sh pr4 regenerates it).
 //
 // The hotspot case is the lazy optimal-rebuild workload's solve: the
 // demand of one 37,500-request hotspot phase at n = 256, k = 4, filled by
