@@ -254,8 +254,8 @@ func printTable(w *os.File, s *serve.Stats) {
 	if f := s.Faults; f != nil {
 		fmt.Fprintf(w, "faults    crashes %d  recoveries %d  stalls %d  checkpoints %d  replayed %d (routing %d adjust %d)\n",
 			f.Crashes, f.Recoveries, f.Stalls, f.Checkpoints, f.ReplayedRequests, f.ReplayRouting, f.ReplayAdjust)
-		fmt.Fprintf(w, "clients   rejected %d  timeouts %d  retries %d  late %d\n",
-			f.Rejected, f.Timeouts, f.Retries, f.LateReplies)
+		fmt.Fprintf(w, "clients   rejected %d  timeouts %d  retries %d\n",
+			f.Rejected, f.Timeouts, f.Retries)
 		fmt.Fprintf(w, "outcomes  failed %d  degraded %d (routing %d)\n",
 			f.FailedRequests, f.DegradedRequests, f.DegradedRouting)
 	}

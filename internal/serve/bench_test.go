@@ -36,7 +36,7 @@ func BenchmarkLoad(b *testing.B) {
 			b.ReportMetric(float64(m)/(float64(b.Elapsed().Nanoseconds())/float64(b.N)/1e9), "req/s")
 		})
 	}
-	// The adjusting grid exercises the owner-loop path end to end.
+	// The adjusting grid exercises the token path end to end.
 	for _, s := range []int{1, 4} {
 		b.Run(fmt.Sprintf("adjusting/s=%d", s), func(b *testing.B) {
 			gen := workload.SequentialGen(n, m/4)
@@ -69,7 +69,7 @@ func warmShardNet(b *testing.B, n, prefix int) (sim.Network, recoverable) {
 	return net, net.(recoverable)
 }
 
-// BenchmarkCheckpoint is the owner-loop cost of one periodic snapshot:
+// BenchmarkCheckpoint is the shard-turn cost of one periodic snapshot:
 // CheckpointInto with a reused checkpoint, amortized over the interval.
 // The enforced contract is zero allocations per op — the first snapshot
 // grows the backing arrays, every later one reuses them, so a checkpoint

@@ -34,7 +34,7 @@ type clientAcc struct {
 	warmRequests, warmRouting, warmAdjust, warmCross int64
 	routingHist, latencyHist                         hist.Hist
 	perShard                                         []shardAcc
-	faults                                           FaultStats // client-side ledger slice (timeouts, retries, failed, degraded, late)
+	faults                                           FaultStats // client-side ledger slice (timeouts, retries, failed, degraded)
 	err                                              error
 }
 
@@ -49,11 +49,8 @@ type client struct {
 	budget int64 // requests this client may serve; <0 = until stream end
 	acc    clientAcc
 
-	reply       chan response
-	seq         uint64 // attempt sequence tag, matches replies to awaits
-	outstanding int    // delivered requests whose replies are unconsumed
-	timer       *time.Timer
-	jit         uint64 // deterministic backoff-jitter stream
+	timer *time.Timer
+	jit   uint64 // deterministic backoff-jitter stream
 }
 
 // resetTimer arms the client's reusable timer (Go 1.23 timer semantics:
@@ -88,38 +85,8 @@ func (c *client) sleepStop(d time.Duration) bool {
 const (
 	outcomeOK       uint8 = iota
 	outcomeDegraded       // served read-only through a stale checkpoint oracle
-	outcomeFailed         // timed out, or down after retries under fail-fast
+	outcomeFailed         // timed out, stopped in a stall wait, or down after retries under fail-fast
 )
-
-// lateReply accounts an owner reply that arrived after its attempt's
-// deadline. The shard did serve the half — exactly once, the delivered
-// request was simply slow — so an OK late half stays in the per-shard
-// serve totals (keeping them equal to what the shards actually did) and
-// is ledgered; the request itself was already counted as a timeout.
-func (c *client) lateReply(r response) {
-	if r.status != statusOK {
-		return
-	}
-	c.acc.faults.LateReplies++
-	c.acc.faults.LateRouting += r.cost.Routing
-	sa := &c.acc.perShard[r.shard]
-	sa.requests++
-	sa.routing += r.cost.Routing
-	sa.adjust += r.cost.Adjust
-	sa.hist.Observe(r.cost.Routing)
-}
-
-// drainOutstanding consumes every delivered-but-unconsumed reply before
-// the client exits. This is the invariant that makes shutdown sound:
-// owners never block forever on a reply to a departed client, so Run's
-// close-and-wait drain always terminates.
-func (c *client) drainOutstanding() {
-	for c.outstanding > 0 {
-		r := <-c.reply
-		c.outstanding--
-		c.lateReply(r)
-	}
-}
 
 // maxBackoffDoublings bounds the exponent of the retry backoff: attempts
 // past it wait as long as attempt maxBackoffDoublings.
@@ -160,14 +127,51 @@ func (c *client) backoff(attempt int) {
 	c.sleepStop(backoffDelay(plan.Backoff, plan.BackoffCap, attempt, c.jit))
 }
 
+// acquire takes s's token for one attempt and waits out any pending
+// stall on it. The attempt's deadline (Timeout) bounds both waits, and
+// the stall wait also gives way to a stop. It reports false, holding no
+// token and having served nothing, when the attempt gave up.
+func (c *client) acquire(s *shard) bool {
+	timeout := c.pool.plan.Timeout
+	var deadline time.Time
+	if timeout <= 0 {
+		<-s.token
+	} else {
+		deadline = time.Now().Add(timeout)
+		c.resetTimer(timeout)
+		select {
+		case <-s.token:
+		case <-c.timer.C:
+			c.acc.faults.Timeouts++
+			return false
+		}
+	}
+	if s.stallUntil.IsZero() {
+		return true
+	}
+	// Giving up leaves the stall pending for the next holder.
+	end, timedOut := s.stallUntil, timeout > 0 && deadline.Before(s.stallUntil)
+	if timedOut {
+		end = deadline
+	}
+	if running := c.sleepStop(time.Until(end)); !running || timedOut {
+		s.token <- struct{}{}
+		if running {
+			c.acc.faults.Timeouts++
+		}
+		return false
+	}
+	s.stallUntil = time.Time{}
+	return true
+}
+
 // serveHalf serves one local (half-)request on a shard. A frozen shard
-// answers lock-free through its distance oracle. Otherwise the half goes
-// to the owner loop: a deadline-bounded round trip per attempt, bounded
-// retries with backoff on down replies (each attempt ticks the shard's
-// recovery clock), and the configured degraded fallback once retries run
-// out. Timeouts are never retried — the request may have been delivered,
-// and a delivered request is served exactly once (its late reply is
-// drained). Under the zero plan this is one plain round trip.
+// answers lock-free through its distance oracle. Otherwise the client
+// serves the half itself under the shard's token: a timed-out attempt
+// was never served and fails without retry, a down turn is retried with
+// backoff (each attempt ticks the shard's recovery clock), and the
+// degraded fallback follows once retries run out. Under the zero plan
+// this is one token turn.
 func (c *client) serveHalf(s *shard, a, b int) (sim.Cost, uint8) {
 	if s.oracle != nil {
 		if a == b {
@@ -177,45 +181,16 @@ func (c *client) serveHalf(s *shard, a, b int) (sim.Cost, uint8) {
 	}
 	p := c.pool
 	plan := &p.plan
-	deadline := plan.Timeout > 0
 	for attempt := 0; ; attempt++ {
-		c.seq++
-		rq := request{u: a, v: b, seq: c.seq, reply: c.reply}
-		if deadline {
-			c.resetTimer(plan.Timeout)
-			select {
-			case s.ch <- rq:
-			case <-c.timer.C:
-				// Undelivered: nothing outstanding, no late reply to come.
-				c.acc.faults.Timeouts++
-				return sim.Cost{}, outcomeFailed
-			}
-		} else {
-			s.ch <- rq
+		if !c.acquire(s) {
+			return sim.Cost{}, outcomeFailed
 		}
-		c.outstanding++
-		var resp response
-		for {
-			if deadline {
-				select {
-				case resp = <-c.reply:
-				case <-c.timer.C:
-					c.acc.faults.Timeouts++
-					return sim.Cost{}, outcomeFailed
-				}
-			} else {
-				resp = <-c.reply
-			}
-			c.outstanding--
-			if resp.seq == rq.seq {
-				break
-			}
-			c.lateReply(resp)
+		cost, ok := s.serve(a, b)
+		s.token <- struct{}{}
+		if ok {
+			return cost, outcomeOK
 		}
-		if resp.status == statusOK {
-			return resp.cost, outcomeOK
-		}
-		// Down reply: safe to retry — the shard rejected without serving.
+		// Down: safe to retry — the shard rejected without serving.
 		if attempt < plan.Retries && !p.stop.Load() {
 			c.acc.faults.Retries++
 			c.backoff(attempt)
@@ -246,12 +221,7 @@ func (c *client) run() {
 	p := c.pool
 	plan := &p.plan
 	c.acc.perShard = make([]shardAcc, p.part.S)
-	// Room for late replies: after timeouts a client can owe several
-	// replies at once, and owners should not block on them while it waits
-	// on another shard.
-	c.reply = make(chan response, 8)
 	c.jit = mix64(plan.Seed ^ (uint64(c.id)+1)*0x9e3779b97f4a7c15)
-	defer c.drainOutstanding()
 
 	var interval time.Duration
 	if p.cfg.TargetOps > 0 {
@@ -293,11 +263,12 @@ func (c *client) run() {
 			t0 = time.Now()
 		}
 		c1, o1 := c.serveHalf(p.shards[r.S1], r.A1, r.B1)
+		// A failed source half fails the request: the destination half is
+		// never attempted and shares its outcome, so it is not counted as
+		// served on the destination shard.
 		var c2 sim.Cost
-		o2 := outcomeOK
+		o2 := o1
 		if r.Cross && o1 != outcomeFailed {
-			// A failed source half fails the request; don't disturb the
-			// destination shard for a request that cannot complete.
 			c2, o2 = c.serveHalf(p.shards[r.S2], r.A2, r.B2)
 		}
 		var lat int64
@@ -380,31 +351,11 @@ type pool struct {
 	served   atomic.Int64
 }
 
-// halt flips the stop flag and wakes every client sleeping in pacing or
-// backoff waits.
+// halt flips the stop flag and wakes every client sleeping in pacing,
+// backoff or stall waits.
 func (p *pool) halt() {
 	p.stopOnce.Do(func() {
 		p.stop.Store(true)
 		close(p.stopCh)
 	})
-}
-
-// shutdownShards closes every started owner loop and waits for each to
-// exit. It tolerates a partially-built pool, which is what makes the
-// mid-construction error path leak-free: owners started for shards built
-// before the failing one are shut down too.
-func (p *pool) shutdownShards() {
-	for _, s := range p.shards {
-		if s == nil {
-			continue
-		}
-		if s.ch != nil {
-			close(s.ch)
-		}
-	}
-	for _, s := range p.shards {
-		if s != nil && s.done != nil {
-			<-s.done
-		}
-	}
 }

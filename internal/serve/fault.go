@@ -17,12 +17,12 @@ const DefaultCheckpointEvery = 1024
 type FaultKind uint8
 
 const (
-	// FaultCrash loses the shard's in-memory network state. The owner
-	// stays up but answers "down" until recovery, which rebuilds the
-	// exact pre-crash state from the last checkpoint plus a deterministic
-	// replay of the post-checkpoint request log.
+	// FaultCrash loses the shard's in-memory network state. The shard
+	// stays reachable but turns arrivals away as "down" until recovery,
+	// which rebuilds the exact pre-crash state from the last checkpoint
+	// plus a deterministic replay of the post-checkpoint request log.
 	FaultCrash FaultKind = iota
-	// FaultStall freezes the owner loop for a wall-clock duration without
+	// FaultStall freezes the shard for a wall-clock duration without
 	// losing state — the slow-shard scenario that exercises client
 	// deadlines.
 	FaultStall
@@ -79,14 +79,16 @@ type FaultEvent struct {
 	// the first post-crash arrival (no request is ever lost), -1 never
 	// recovers.
 	RecoverAfter int64
-	// Stall (stalls only) is how long the owner sleeps.
+	// Stall (stalls only) is how long the shard is frozen: the arrivals
+	// after the trigger point wait until it ends (or their deadline
+	// passes, or the run stops).
 	Stall time.Duration
 }
 
 // FaultPlan scripts the faults of one serving run and configures the
 // robustness machinery around them. A nil *FaultPlan in Config disarms
-// faults: the same owner and client loops run with no checkpoints, no
-// events, no deadlines and no retries.
+// faults: the same shard turns and client loop run with no checkpoints,
+// no events, no deadlines and no retries.
 type FaultPlan struct {
 	// CheckpointEvery is the per-shard checkpoint interval in local
 	// serves (0 = DefaultCheckpointEvery). Between checkpoints each shard
@@ -96,13 +98,14 @@ type FaultPlan struct {
 	// Degraded selects the client policy for down shards once retries
 	// are exhausted.
 	Degraded DegradedMode
-	// Timeout bounds each owner round-trip (send plus reply) per attempt;
-	// 0 disables deadlines. Timed-out requests are never retried: the
-	// request may have been delivered, and a delivered request is served
-	// exactly once (its late reply is drained and ledgered).
+	// Timeout bounds each attempt's wait for the shard's token and for a
+	// pending stall to end; 0 disables deadlines. An attempt that gets the
+	// token is always served to completion, so a timed-out attempt was
+	// never served. Timed-out requests fail without retry.
 	Timeout time.Duration
-	// Retries is how many times a client re-sends a half-request after a
-	// "down" reply (each attempt ticks the shard's recovery clock).
+	// Retries is how many times a client re-tries a half-request the
+	// shard turned away as "down" (each attempt ticks the shard's
+	// recovery clock).
 	Retries int
 	// Backoff is the base delay before the first retry, doubling per
 	// attempt (at most 30 doublings) and saturating at BackoffCap (0 =
@@ -117,12 +120,8 @@ type FaultPlan struct {
 	Events []FaultEvent
 }
 
-// checkpointInterval resolves the configured interval; a nil plan has
-// none (0: no replay log, no checkpoints).
+// checkpointInterval resolves the configured interval.
 func (p *FaultPlan) checkpointInterval() int64 {
-	if p == nil {
-		return 0
-	}
 	if p.CheckpointEvery == 0 {
 		return DefaultCheckpointEvery
 	}
@@ -207,17 +206,14 @@ type FaultStats struct {
 	ReplayAdjust     int64
 
 	Stalls   int64 // stall events fired
-	Rejected int64 // "down" replies sent by owners
+	Rejected int64 // arrivals turned away while down
 
-	Timeouts int64 // attempts that missed their deadline (send or reply)
-	Retries  int64 // re-sends after down replies
+	Timeouts int64 // attempts that missed their deadline (token or stall wait)
+	Retries  int64 // re-tries after down turns
 
-	FailedRequests   int64 // requests abandoned (timeout, or down after retries under fail-fast)
+	FailedRequests   int64 // requests abandoned (timeout, stop in a stall wait, or down after retries under fail-fast)
 	DegradedRequests int64 // requests served through a stale checkpoint oracle
 	DegradedRouting  int64 // their routing cost (excluded from serving totals)
-
-	LateReplies int64 // replies that arrived after their request timed out
-	LateRouting int64 // routing cost of late-served halves (kept in per-shard totals)
 }
 
 // merge folds b into f.
@@ -235,6 +231,4 @@ func (f *FaultStats) merge(b *FaultStats) {
 	f.FailedRequests += b.FailedRequests
 	f.DegradedRequests += b.DegradedRequests
 	f.DegradedRouting += b.DegradedRouting
-	f.LateReplies += b.LateReplies
-	f.LateRouting += b.LateRouting
 }

@@ -293,7 +293,7 @@ func TestDegradedFailFast(t *testing.T) {
 }
 
 // TestFaultedFrozenShard: with a plan armed, frozen shards are served
-// through owner loops too (the lock-free oracle path cannot inject
+// under their tokens too (the lock-free oracle path cannot inject
 // faults), and lossless crash recovery holds on them trivially.
 func TestFaultedFrozenShard(t *testing.T) {
 	gen := workload.UniformGen(100, 5_000, 5)
@@ -315,11 +315,11 @@ func TestFaultedFrozenShard(t *testing.T) {
 	}
 }
 
-// TestStallAndTimeout exercises the wall-clock corner: a stalled owner
-// trips client deadlines, timed-out requests fail without retry, and
-// the late replies of delivered-but-slow requests are drained and
-// ledgered rather than lost. Counts here are timing-dependent, so the
-// assertions are structural, plus the conservation law.
+// TestStallAndTimeout exercises the wall-clock corner: a stalled shard
+// trips client deadlines, and timed-out requests fail without retry. A
+// half that gets the token is served to completion, so a timed-out one
+// was never served. Counts here are timing-dependent, so the assertions
+// are structural, plus the conservation law.
 func TestStallAndTimeout(t *testing.T) {
 	const m = 200
 	gen := workload.TemporalGen(64, m, 0.6, 13)
@@ -341,10 +341,100 @@ func TestStallAndTimeout(t *testing.T) {
 	if got := stats.Requests + stats.WarmupRequests + f.FailedRequests + f.DegradedRequests; got != m {
 		t.Errorf("ok+failed+degraded = %d, want %d (conservation)", got, m)
 	}
-	// Per-shard totals count what the shard actually served: OK requests
-	// plus late-served halves.
-	if want := stats.Requests + f.LateReplies; stats.PerShard[0].Requests != want {
-		t.Errorf("shard served %d, want %d ok + %d late", stats.PerShard[0].Requests, stats.Requests, f.LateReplies)
+	// Per-shard totals count what the shard actually served: exactly the
+	// OK requests, since no timed-out request was served.
+	if stats.PerShard[0].Requests != stats.Requests {
+		t.Errorf("shard served %d, want the %d ok requests", stats.PerShard[0].Requests, stats.Requests)
+	}
+}
+
+// TestServeCancelDuringStall pins that a stall wait is stop-aware:
+// cancelling a run while its client waits out a 3 s stall returns within
+// 500 ms of the cancellation, not at the end of the stall.
+func TestServeCancelDuringStall(t *testing.T) {
+	gen := workload.TemporalGen(64, 10_000, 0.6, 13)
+	plan := &FaultPlan{Events: []FaultEvent{{Shard: 0, At: 10, Kind: FaultStall, Stall: 3 * time.Second}}}
+	cancelAt := time.Now().Add(50 * time.Millisecond)
+	ctx, cancel := context.WithDeadline(context.Background(), cancelAt)
+	defer cancel()
+	stats, err := Run(ctx, Config{Shards: 1, Clients: 1, Faults: plan}, mkKary, gen)
+	if late := time.Since(cancelAt); late > 500*time.Millisecond {
+		t.Errorf("Run returned %v after the cancellation; the stall wait is not stop-aware", late)
+	}
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+	// Ten requests served, the stall fired, and the eleventh, waiting it
+	// out, was abandoned unserved.
+	if f := stats.Faults; f.Stalls != 1 || stats.Requests != 10 || f.FailedRequests != 1 {
+		t.Errorf("stalls/ok/failed = %d/%d/%d, want 1/10/1", f.Stalls, stats.Requests, f.FailedRequests)
+	}
+}
+
+// TestServeTokenStallRecordLocal pins the token under contention: 4
+// clients share 2 shards, and shard 0 stalls far past the deadline. Every
+// drawn request is served, failed or degraded; each shard's totals count
+// exactly the halves it served; and sim.Run over each shard's recorded
+// sequence reproduces its totals. Under -race it also asserts the token's
+// mutual exclusion.
+func TestServeTokenStallRecordLocal(t *testing.T) {
+	const n, m, shards, clients = 200, 20_000, 2, 4
+	gen := workload.TemporalGen(n, m, 0.6, 17)
+	plan := &FaultPlan{
+		Timeout: 2 * time.Millisecond,
+		Events:  []FaultEvent{{Shard: 0, At: 500, Kind: FaultStall, Stall: 40 * time.Millisecond}},
+	}
+	stats, err := Run(context.Background(),
+		Config{Shards: shards, Clients: clients, RecordLocal: true, Faults: plan}, mkKary, gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := stats.Faults
+	if f.Stalls != 1 || f.Timeouts == 0 || f.FailedRequests == 0 {
+		t.Errorf("stalls/timeouts/failed = %d/%d/%d, want a stall that trips deadlines",
+			f.Stalls, f.Timeouts, f.FailedRequests)
+	}
+	if got := stats.Requests + stats.WarmupRequests + f.FailedRequests + f.DegradedRequests; got != m {
+		t.Errorf("served %d + failed %d + degraded %d != issued %d",
+			stats.Requests+stats.WarmupRequests, f.FailedRequests, f.DegradedRequests, m)
+	}
+	part, err := NewPartition(n, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for sh, ps := range stats.PerShard {
+		if int64(len(ps.Local)) != ps.Requests {
+			t.Errorf("shard %d served %d halves, its totals count %d ok halves", sh, len(ps.Local), ps.Requests)
+		}
+		if r, a := replay(t, mkKary, part.Size(sh), ps.Local); r != ps.Routing || a != ps.Adjust {
+			t.Errorf("shard %d: routing/adjust %d/%d, sim.Run over its recorded sequence %d/%d",
+				sh, ps.Routing, ps.Adjust, r, a)
+		}
+	}
+}
+
+// TestStallDelaysNextArrival pins the stall semantics: the stall fires
+// after the triggering serve, so that request is not delayed, and the
+// next arrival waits the stall out. With one client, no deadline and
+// every request timed, exactly one latency sample reaches the stall.
+func TestStallDelaysNextArrival(t *testing.T) {
+	const stall = 50 * time.Millisecond
+	gen := workload.TemporalGen(64, 100, 0.6, 13)
+	plan := &FaultPlan{Events: []FaultEvent{{Shard: 0, At: 10, Kind: FaultStall, Stall: stall}}}
+	stats, err := Run(context.Background(),
+		Config{Shards: 1, Clients: 1, LatencySample: 1, Faults: plan}, mkKary, gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lat := stats.LatencyHist
+	if lat.Count() != 100 || stats.Faults.FailedRequests != 0 {
+		t.Fatalf("%d latency samples, %d failed; want 100 and 0", lat.Count(), stats.Faults.FailedRequests)
+	}
+	// The largest sample reaches the stall; the others together do not,
+	// so no second one does.
+	if lat.Max() < int64(stall) || lat.Sum()-lat.Max() >= int64(stall) {
+		t.Errorf("latency max %v, rest sum %v: want exactly one sample >= %v",
+			time.Duration(lat.Max()), time.Duration(lat.Sum()-lat.Max()), stall)
 	}
 }
 
@@ -372,7 +462,7 @@ func TestFaultPlanValidation(t *testing.T) {
 	}
 
 	// A custom substrate cannot checkpoint: arming any plan must fail,
-	// and the error path must not leak the owners already started.
+	// and the error path must not leak goroutines.
 	mkSplay := func(n int) (sim.Network, error) { return splaynet.New(n) }
 	before := runtime.NumGoroutine()
 	_, err := Run(context.Background(),
@@ -401,8 +491,8 @@ func waitForGoroutines(t *testing.T, baseline int) {
 }
 
 // TestServeMkFailureShutsDownOwners is the regression test for the PR 8
-// shard-construction leak: when mk fails mid-construction, the owner
-// loops already started for earlier shards must be shut down, not leaked.
+// shard-construction leak: when mk fails mid-construction, nothing
+// started for the shards built before it may be left running.
 func TestServeMkFailureShutsDownOwners(t *testing.T) {
 	gen := workload.UniformGen(100, 1000, 1)
 	boom := errors.New("shard 2 refused to build")
@@ -461,7 +551,7 @@ func TestServeCancellationLatencyBounded(t *testing.T) {
 
 // TestServeCancelMidFlight pins the cancellation semantics end to end:
 // cancelling a run mid-flight returns partial Stats with ctx.Err(), every
-// shard owner and the rate reporter exit, and the generator is untouched
+// client and the rate reporter exit, and the generator is untouched
 // state-wise — a second run on it completes with full totals.
 func TestServeCancelMidFlight(t *testing.T) {
 	const m = 400_000 // far more than the cancel window can serve

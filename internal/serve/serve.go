@@ -4,7 +4,7 @@
 //
 // The node space 1..n is hash-partitioned across S independent shards,
 // each owning a private network instance (its tree, trigger state and
-// demand window) behind a single-writer owner goroutine; a deterministic
+// demand window) behind an exclusive per-shard token; a deterministic
 // router maps every request to the shard(s) that serve it, charging
 // cross-shard pairs under a documented inter-shard cost rule; and C
 // closed-loop client routines drive the shards, each iterating its own
@@ -13,8 +13,9 @@
 // shards — compositions whose trigger can never fire, detected through
 // the StaticOracle hook — are served lock-free by the clients themselves
 // through the shard's Euler-tour/RMQ distance oracle; every other shard
-// serializes exclusively through its owner loop, preserving the
-// repository-wide single-writer contract on serve paths (DESIGN.md §11).
+// is served by whichever client holds its token, one turn at a time,
+// preserving the repository-wide single-writer contract on serve paths
+// as mutual exclusion, with no goroutine handoff (DESIGN.md §11).
 //
 // Measurement is bounded-memory by construction: every per-request
 // observation goes into a mergeable log-bucketed hist.Hist, so per-client
@@ -66,9 +67,10 @@ type Config struct {
 	// routing-cost histograms are always exact and unsampled.
 	LatencySample int
 	// RecordLocal makes every shard record the local request sequence it
-	// processed, and forces all shards — frozen included — through their
-	// owner loops so the sequence is well-defined. Test instrumentation
-	// for the sequential-equivalence property; leave off under load.
+	// processed — its token-acquisition order — and forces all shards,
+	// frozen included, under their tokens so the sequence is
+	// well-defined. Test instrumentation for the sequential-equivalence
+	// property; leave off under load.
 	RecordLocal bool
 	// OnRate, when set, receives a live aggregate-throughput sample every
 	// RateEvery (default 1s) from a reporter goroutine.
@@ -78,12 +80,11 @@ type Config struct {
 	// §12): scripted crashes/stalls at logical trigger points, periodic
 	// checkpoints with snapshot+replay recovery, client deadlines/retries,
 	// and degraded-mode serving. nil (the default) disarms everything: the
-	// same owner and client loops run, but take no checkpoints, keep no
-	// replay log and never time out or retry. With a plan armed, every
-	// shard — frozen included — is served through its owner loop, and
-	// every shard network must support exact checkpoint/restore
-	// (tree-backed policy compositions do; custom substrates are
-	// rejected).
+	// same shard turns and client loop run, but take no checkpoints, keep
+	// no replay log and never time out or retry. With a plan armed, every
+	// shard — frozen included — is served under its token, and every
+	// shard network must support exact checkpoint/restore (tree-backed
+	// policy compositions do; custom substrates are rejected).
 	Faults *FaultPlan
 }
 
@@ -112,7 +113,7 @@ type ShardStats struct {
 	Recoveries  int64
 	Checkpoints int64
 	Replayed    int64 // requests re-served from the replay log
-	Rejected    int64 // down replies sent while crashed
+	Rejected    int64 // arrivals turned away while crashed
 }
 
 // Stats aggregates a serving run. The measurement region excludes each
@@ -162,8 +163,8 @@ func (s *Stats) Total() int64 { return s.Routing + s.Adjust }
 // one client and S shards, each shard serves Partition.Project's
 // subsequence in order. With C clients, per-shard arrival order
 // interleaves client substreams nondeterministically — but every shard
-// still serves a single well-defined sequence (single-writer loop), which
-// RecordLocal captures for equivalence replay.
+// still serves a single well-defined sequence (its token-acquisition
+// order), which RecordLocal captures for equivalence replay.
 //
 // Cancellation of ctx stops the run and returns the partial Stats
 // together with ctx.Err(); cfg.Duration elapsing is a normal completion.
@@ -196,39 +197,37 @@ func Run(ctx context.Context, cfg Config, mk func(n int) (sim.Network, error), g
 	for i := range p.shards {
 		net, err := mk(part.Size(i))
 		if err != nil {
-			// Owners already started for shards < i must not leak.
-			p.shutdownShards()
 			return nil, fmt.Errorf("serve: building shard %d (%d nodes): %w", i, part.Size(i), err)
 		}
 		s := &shard{id: i, nodes: part.Size(i), net: net, record: cfg.RecordLocal}
 		if cfg.Faults != nil {
-			// Every shard, frozen included, is served through its owner
-			// loop (the lock-free oracle cannot inject faults) and must
+			// Every shard, frozen included, is served under its token
+			// (the lock-free oracle cannot inject faults) and must
 			// support exact checkpoint/restore.
 			rec, ok := net.(recoverable)
 			if !ok || !rec.Checkpointable() {
-				p.shutdownShards()
 				return nil, fmt.Errorf("serve: fault plan armed, but shard %d network %q cannot checkpoint/restore",
 					i, net.Name())
 			}
 			s.recov = rec
 			s.events = events[i]
+			s.interval = cfg.Faults.checkpointInterval()
+			s.publishStale = cfg.Faults.Degraded == DegradedStale
 		} else if ss, ok := net.(staticServer); ok && !cfg.RecordLocal {
 			if ix, frozen := ss.StaticOracle(); frozen {
 				s.oracle = ix
 			}
 		}
 		if s.oracle == nil {
-			s.ch = make(chan request, cfg.Clients)
-			s.done = make(chan struct{})
-			go s.run(cfg.Faults)
+			s.token = make(chan struct{}, 1)
+			s.token <- struct{}{}
 		}
 		p.shards[i] = s
 	}
 
 	// Stop signals: wall-clock duration (normal completion) and context
 	// cancellation (error). Both halt the pool, which flips the flag
-	// clients poll and wakes any client sleeping in pacing or backoff.
+	// clients poll and wakes any client sleeping in pacing, backoff or a stall.
 	watchDone := make(chan struct{})
 	if cfg.Duration > 0 {
 		t := time.AfterFunc(cfg.Duration, p.halt)
@@ -290,7 +289,6 @@ func Run(ctx context.Context, cfg Config, mk func(n int) (sim.Network, error), g
 		}(clients[i])
 	}
 	wg.Wait()
-	p.shutdownShards()
 	elapsed := time.Since(start)
 	close(watchDone)
 	reporterWG.Wait()

@@ -46,12 +46,8 @@ func replay(t testing.TB, mk func(n int) (sim.Network, error), n int, reqs []sim
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, rq := range reqs {
-		c := net.Serve(rq.Src, rq.Dst)
-		routing += c.Routing
-		adjust += c.Adjust
-	}
-	return routing, adjust
+	res := sim.Run(net, reqs)
+	return res.Routing, res.Adjust
 }
 
 // TestServeSingleShardGolden pins the anchor of the whole construction:
@@ -130,8 +126,8 @@ func TestServeMultiShardSingleClient(t *testing.T) {
 
 // TestServeMultiClientRecordLocal pins the equivalence property under
 // real concurrency: with C clients the per-shard arrival order is
-// nondeterministic, but each shard still serves one well-defined sequence
-// through its owner loop. RecordLocal captures that sequence; replaying
+// nondeterministic, but each shard still serves one well-defined sequence,
+// its token-acquisition order. RecordLocal captures that sequence; replaying
 // it sequentially on a fresh identical network must reproduce the shard's
 // totals exactly. Run under -race in CI, this is also the single-writer
 // assertion: any unsynchronized second writer would trip the detector.
