@@ -19,10 +19,12 @@ func benchServe(b *testing.B, mk func() Network, tr Trace) {
 	b.Helper()
 	net := mk()
 	b.ResetTimer()
+	var hops int64
 	for i := 0; i < b.N; i++ {
 		rq := tr.Reqs[i%len(tr.Reqs)]
-		net.Serve(rq.Src, rq.Dst)
+		hops += net.Serve(rq.Src, rq.Dst).Routing
 	}
+	b.ReportMetric(float64(hops)/float64(b.N), "hops/op")
 }
 
 // --- The sequential serve path (the throughput ceiling of the whole
@@ -45,7 +47,9 @@ func BenchmarkServeKAryUniform(b *testing.B) {
 // the per-hop routing constant (the threshold search at every visited
 // node) turns from noise into the dominant term as k grows and trees
 // flatten. The k=5 uniform point duplicates BenchmarkServeKAryUniform so
-// the grid and the long-lived flagship key stay comparable.
+// the grid and the long-lived flagship key stay comparable. Each point
+// reports routing hops/op beside ns/op, so the hop/time trade-off across
+// k is read off one run (hops/op is deterministic at a fixed -benchtime=Nx).
 func BenchmarkServeKAryGrid(b *testing.B) {
 	for _, tc := range []struct {
 		name string

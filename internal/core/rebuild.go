@@ -45,11 +45,13 @@ func (t *Tree) SetBlockPolicy(p BlockPolicy) { t.blockPolicy = p }
 // non-reentrant per tree.
 //
 // Empty child slots are index 0, and the parent-update loops deliberately
-// write parent[0] and slot[0] instead of branching on emptiness; index 0 of
-// both arrays is a scratch cell that no reader consults (Snapshot
-// normalizes parent[0]; slot is derived state and not serialized at all).
-// Likewise slot[root] is written unconditionally and only consulted when
-// the node actually has a parent.
+// write parent[0] instead of branching on emptiness; parent[0] is a scratch
+// cell that no reader consults (Snapshot normalizes it).
+//
+// A child's slot in its parent is not stored: it is the parent's interval
+// that contains the child's id value (Validate guarantees every id of a
+// subtree lies in its slot's interval), so the rebuilds find the on-path
+// slots with one span-kernel call each on the parent's span.
 
 // rebuild2 performs one two-node rebuild (a k-semi-splay step): x, a child
 // of p, takes p's place and p is re-hung in the induced gap of x's new
@@ -58,7 +60,6 @@ func (t *Tree) rebuild2(p, x int32) {
 	k := t.k
 	w := 2*k - 1 // interleaved span width
 	oldParent := t.parent[p]
-	oldSlot := t.slot[p] // meaningful only when oldParent != 0
 	var before map[edge]struct{}
 	if t.trackEdges {
 		t.pathBuf[0], t.pathBuf[1] = p, x
@@ -66,8 +67,8 @@ func (t *Tree) rebuild2(p, x int32) {
 	}
 
 	spP, spX := t.span(p), t.span(x)
-	c := int(t.slot[x])
-	par, slot := t.parent, t.slot
+	c := t.kSpan(spP, int32(t.idValue(int(x))))
+	par := t.parent
 
 	// In-order merge of the fragment: p's span with x's span spliced into
 	// slot c (in-span offset 2c); mov picks scalar or memmove by span
@@ -87,9 +88,7 @@ func (t *Tree) rebuild2(p, x int32) {
 	s := blockStartAt(t.blockPolicy, j, k-1, 2*(k-1))
 	mov(spP, m[2*s:2*s+w])
 	for i := 0; i < w; i += 2 {
-		ch := spP[i]
-		par[ch] = p
-		slot[ch] = int32(i / 2)
+		par[spP[i]] = p
 	}
 
 	// x keeps the remainder, with p re-hung in the induced gap.
@@ -97,17 +96,17 @@ func (t *Tree) rebuild2(p, x int32) {
 	spX[2*s] = p
 	mov(spX[2*s+1:], m[2*s+w:])
 	for i := 0; i < w; i += 2 {
-		ch := spX[i]
-		par[ch] = x
-		slot[ch] = int32(i / 2)
+		par[spX[i]] = x
 	}
 
 	par[x] = oldParent
-	slot[x] = oldSlot
 	if oldParent == 0 {
 		t.root = x
 	} else {
-		t.span(oldParent)[2*oldSlot] = x
+		// The old parent's span is untouched, and every fragment id lies
+		// in the fragment's slot there.
+		sp := t.span(oldParent)
+		sp[2*t.kSpan(sp, int32(t.idValue(int(x))))] = x
 	}
 
 	// Elementary-rotation accounting: one parent-child flip, exactly like
@@ -128,7 +127,6 @@ func (t *Tree) rebuild3(g, p, x int32) {
 	k := t.k
 	w := 2*k - 1 // interleaved span width
 	oldParent := t.parent[g]
-	oldSlot := t.slot[g] // meaningful only when oldParent != 0
 	var before map[edge]struct{}
 	if t.trackEdges {
 		t.pathBuf[0], t.pathBuf[1], t.pathBuf[2] = g, p, x
@@ -136,9 +134,9 @@ func (t *Tree) rebuild3(g, p, x int32) {
 	}
 
 	spG, spP, spX := t.span(g), t.span(p), t.span(x)
-	cg := int(t.slot[p])
-	cp := int(t.slot[x])
-	par, slot := t.parent, t.slot
+	cg := t.kSpan(spG, int32(t.idValue(int(p))))
+	cp := t.kSpan(spP, int32(t.idValue(int(x))))
+	par := t.parent
 
 	// In-order merge: g's span with p's span spliced into slot cg, which in
 	// turn holds x's span spliced into slot cp.
@@ -161,9 +159,7 @@ func (t *Tree) rebuild3(g, p, x int32) {
 	s := blockStartAt(t.blockPolicy, j, k-1, 3*(k-1))
 	mov(spG, m[2*s:2*s+w])
 	for i := 0; i < w; i += 2 {
-		ch := spG[i]
-		par[ch] = g
-		slot[ch] = int32(i / 2)
+		par[spG[i]] = g
 	}
 	m[2*s] = g
 	mov(m[2*s+1:], m[2*s+w:])
@@ -174,9 +170,7 @@ func (t *Tree) rebuild3(g, p, x int32) {
 	s = blockStartAt(t.blockPolicy, j, k-1, 2*(k-1))
 	mov(spP, m[2*s:2*s+w])
 	for i := 0; i < w; i += 2 {
-		ch := spP[i]
-		par[ch] = p
-		slot[ch] = int32(i / 2)
+		par[spP[i]] = p
 	}
 
 	// x keeps the rest, with p re-hung in the induced gap.
@@ -184,17 +178,17 @@ func (t *Tree) rebuild3(g, p, x int32) {
 	spX[2*s] = p
 	mov(spX[2*s+1:], m[2*s+w:])
 	for i := 0; i < w; i += 2 {
-		ch := spX[i]
-		par[ch] = x
-		slot[ch] = int32(i / 2)
+		par[spX[i]] = x
 	}
 
 	par[x] = oldParent
-	slot[x] = oldSlot
 	if oldParent == 0 {
 		t.root = x
 	} else {
-		t.span(oldParent)[2*oldSlot] = x
+		// The old parent's span is untouched, and every fragment id lies
+		// in the fragment's slot there.
+		sp := t.span(oldParent)
+		sp[2*t.kSpan(sp, int32(t.idValue(int(x))))] = x
 	}
 
 	// A three-node rebuild lifts the deepest node two levels: the work of
@@ -227,29 +221,6 @@ func (t *Tree) SplayStep(z *Node) error {
 	}
 	t.rebuild3(t.parent[p], p, z.ix)
 	return nil
-}
-
-// blockSize picks the number of routing elements the next rebuilt node
-// takes: balanced across the remaining nodes, but always leaving at most
-// maxB elements for the nodes still to be placed (feasibility) and never
-// exceeding maxB itself. With full routing arrays (avail = rem·maxB) it is
-// identically maxB — the specialized rebuilds above rely on exactly that;
-// the pointer-reference differential test exercises the general form.
-func blockSize(avail, remNodes, maxB int) int {
-	b := (avail + remNodes - 1) / remNodes // ceil: balanced share
-	if lo := avail - maxB*(remNodes-1); b < lo {
-		b = lo
-	}
-	if b > maxB {
-		b = maxB
-	}
-	if b > avail {
-		b = avail
-	}
-	if b < 0 {
-		b = 0
-	}
-	return b
 }
 
 // intervalIndex returns the index of the interval of the sorted element

@@ -18,10 +18,33 @@ import (
 // The reference goes through the generic blockSize path (no full-array
 // shortcut), so agreement also re-verifies the specialization argument the
 // arena rebuilds rely on: with every routing array at exactly k−1
-// elements, blockSize(d·(k−1), d, k−1) ≡ k−1. The three pure placement
-// helpers — blockSize, intervalIndex, blockStartAt — are shared with the
-// production rebuilds rather than duplicated, so the test pins the
-// representations against each other, not two copies of the same bug.
+// elements, blockSize(d·(k−1), d, k−1) ≡ k−1. The pure placement helpers
+// intervalIndex and blockStartAt are shared with the production rebuilds
+// rather than duplicated, so the test pins the representations against
+// each other, not two copies of the same bug.
+
+// blockSize picks the number of routing elements the next rebuilt node
+// takes: balanced across the remaining nodes, but always leaving at most
+// maxB elements for the nodes still to be placed (feasibility) and never
+// exceeding maxB itself. With full routing arrays (avail = rem·maxB) it is
+// identically maxB — the specialized arena rebuilds (rebuild.go) rely on
+// exactly that and never call it; only this reference takes the general form.
+func blockSize(avail, remNodes, maxB int) int {
+	b := (avail + remNodes - 1) / remNodes // ceil: balanced share
+	if lo := avail - maxB*(remNodes-1); b < lo {
+		b = lo
+	}
+	if b > maxB {
+		b = maxB
+	}
+	if b > avail {
+		b = avail
+	}
+	if b < 0 {
+		b = 0
+	}
+	return b
+}
 
 type refNode struct {
 	id     int

@@ -209,7 +209,6 @@ func (t *Tree) buildSpec(s *Spec, parent int32, lo, hi int, seen []bool) (int32,
 				return 0, err
 			}
 			sp[2*i] = ch
-			t.slot[ch] = int32(i)
 		}
 		slotLo = slotHi
 	}

@@ -32,7 +32,6 @@ type Tree struct {
 	root   int32
 	parent []int32 // parent[id]; 0 = none; index 0 is rebuild scratch
 	rc     []int32 // interleaved child-slot/routing-element spans, 2k−1 per node
-	slot   []int32 // slot[id]: the child slot id occupies in its parent; index 0 and the root's entry are scratch
 
 	// nodes backs the *Node handles handed out by NodeByID, Root, Parent
 	// and Child: nodes[id] is allocated once at construction and never
@@ -94,7 +93,6 @@ func newArena(n, k int) *Tree {
 		scale:  k,
 		parent: make([]int32, n+1),
 		rc:     make([]int32, n*(2*k-1)),
-		slot:   make([]int32, n+1),
 		nodes:  make([]Node, n+1),
 
 		scratch: make([]int32, 3*(2*k-1)-2),

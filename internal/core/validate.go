@@ -76,9 +76,6 @@ func (t *Tree) Validate() error {
 				if t.parent[ch] != ix {
 					return fmt.Errorf("core: node %d is child of %d but points at a different parent", ch, id)
 				}
-				if t.slot[ch] != int32(i/2) {
-					return fmt.Errorf("core: node %d sits in slot %d of %d but its slot cache says %d", ch, i/2, id, t.slot[ch])
-				}
 				if slotLo >= slotHi {
 					return fmt.Errorf("core: node %d has child %d in an empty slot", id, ch)
 				}

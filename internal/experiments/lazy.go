@@ -6,14 +6,14 @@ import (
 
 	"github.com/ksan-net/ksan/internal/engine"
 	"github.com/ksan-net/ksan/internal/karynet"
-	"github.com/ksan-net/ksan/internal/lazynet"
+	"github.com/ksan-net/ksan/internal/policy"
 	"github.com/ksan-net/ksan/internal/report"
 	"github.com/ksan-net/ksan/internal/statictree"
 	"github.com/ksan-net/ksan/internal/workload"
 )
 
 // LazyVsReactive compares the fully reactive k-ary SplayNet against the
-// partially reactive meta-algorithm (lazynet) across reconfiguration
+// partially reactive meta-algorithm (policy.NewLazy) across reconfiguration
 // thresholds α, using the model's raw link-churn cost for the lazy
 // rebuilds. This extends the paper's introduction discussion of lazy SANs
 // ([13]) to the k-ary setting.
@@ -55,7 +55,10 @@ func LazyVsReactiveCtx(ctx context.Context, eng *engine.Engine, tr workload.Trac
 	t.AddRow("full tree (never adjusts)",
 		report.Count(static.Routing), "0", report.Count(static.Total()), "0")
 	for _, a := range alphas {
-		lazy := lazynet.MustNew(tr.N, k, a)
+		lazy, err := policy.NewLazy(tr.N, k, a)
+		if err != nil {
+			return t, err
+		}
 		res, err := eng.Run(ctx, lazy, tr.Reqs)
 		if err != nil {
 			return t, err

@@ -1,26 +1,39 @@
-package lazynet
+package policy
 
 import (
 	"testing"
 
-	"github.com/ksan-net/ksan/internal/core"
-	"github.com/ksan-net/ksan/internal/policy"
 	"github.com/ksan-net/ksan/internal/sim"
 	"github.com/ksan-net/ksan/internal/statictree"
 	"github.com/ksan-net/ksan/internal/workload"
 )
 
-func TestNewRejectsBadParams(t *testing.T) {
-	if _, err := New(10, 3, 0); err == nil {
+func mustLazy(t *testing.T, n, k int, alpha int64) *Net {
+	t.Helper()
+	net, err := NewLazy(n, k, alpha)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return net
+}
+
+func TestNewLazyRejectsBadParams(t *testing.T) {
+	if _, err := NewLazy(10, 3, 0); err == nil {
 		t.Error("alpha=0 accepted")
 	}
-	if _, err := New(0, 3, 10); err == nil {
+	if _, err := NewLazy(0, 3, 10); err == nil {
 		t.Error("n=0 accepted")
 	}
 }
 
-func TestNoRebuildBelowThreshold(t *testing.T) {
-	net := MustNew(50, 3, 1<<40)
+func TestNewLazyName(t *testing.T) {
+	if got := mustLazy(t, 10, 4, 100).Name(); got != "lazy 4-ary net (α=100)" {
+		t.Errorf("Name()=%q", got)
+	}
+}
+
+func TestLazyNoRebuildBelowThreshold(t *testing.T) {
+	net := mustLazy(t, 50, 3, 1<<40)
 	tr := workload.Uniform(50, 2000, 1)
 	res := sim.Run(net, tr.Reqs)
 	if net.Rebuilds() != 0 {
@@ -31,8 +44,8 @@ func TestNoRebuildBelowThreshold(t *testing.T) {
 	}
 }
 
-func TestRebuildTriggersAtThreshold(t *testing.T) {
-	net := MustNew(50, 3, 500)
+func TestLazyRebuildTriggersAtThreshold(t *testing.T) {
+	net := mustLazy(t, 50, 3, 500)
 	tr := workload.Zipf(50, 5000, 1.3, 2)
 	res := sim.Run(net, tr.Reqs)
 	if net.Rebuilds() == 0 {
@@ -46,9 +59,9 @@ func TestRebuildTriggersAtThreshold(t *testing.T) {
 	}
 }
 
-func TestRebuildAdaptsToSkew(t *testing.T) {
+func TestLazyRebuildAdaptsToSkew(t *testing.T) {
 	// After rebuilds driven by a skewed demand, the hot pair must sit close.
-	net := MustNew(60, 2, 2000)
+	net := mustLazy(t, 60, 2, 2000)
 	reqs := make([]sim.Request, 4000)
 	for i := range reqs {
 		if i%4 == 0 {
@@ -92,7 +105,7 @@ func TestLazyBeatsStaticUnderDrift(t *testing.T) {
 			reqs = append(reqs, sim.Request{Src: u, Dst: v})
 		}
 	}
-	lazy := MustNew(n, 2, 4000)
+	lazy := mustLazy(t, n, 2, 4000)
 	lres := sim.Run(lazy, reqs)
 	full, err := statictree.Full(n, 2)
 	if err != nil {
@@ -105,14 +118,10 @@ func TestLazyBeatsStaticUnderDrift(t *testing.T) {
 }
 
 func TestExactBuilderForSmallNetworks(t *testing.T) {
-	// The former SetBuilder escape hatch is now a composition: the same
-	// α-trigger with the exact-DP rebuild adjuster.
-	tree, err := core.NewBalanced(24, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net, err := policy.New("lazy exact", tree, policy.Alpha(300),
-		policy.Rebuild("optimal", statictree.Optimal))
+	// The α-trigger with the exact-DP rebuild adjuster instead of the
+	// weight-balanced one.
+	net, err := New("lazy exact", mustTree(t, 24, 3), Alpha(300),
+		Rebuild("optimal", statictree.Optimal))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,11 +132,5 @@ func TestExactBuilderForSmallNetworks(t *testing.T) {
 	}
 	if err := net.Tree().Validate(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestName(t *testing.T) {
-	if got := MustNew(10, 4, 100).Name(); got != "lazy 4-ary net (α=100)" {
-		t.Errorf("Name()=%q", got)
 	}
 }

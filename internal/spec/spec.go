@@ -29,7 +29,6 @@ import (
 	"github.com/ksan-net/ksan/internal/core"
 	"github.com/ksan-net/ksan/internal/engine"
 	"github.com/ksan-net/ksan/internal/karynet"
-	"github.com/ksan-net/ksan/internal/lazynet"
 	"github.com/ksan-net/ksan/internal/policy"
 	"github.com/ksan-net/ksan/internal/sim"
 	"github.com/ksan-net/ksan/internal/splaynet"
@@ -822,7 +821,7 @@ func init() {
 		k, alpha := d.K, d.Alpha
 		return engine.NetworkSpec{
 			Name: fmt.Sprintf("lazy %d-ary α=%d", k, alpha),
-			Make: makeNet(func(n int) (sim.Network, error) { return lazynet.New(n, k, alpha) }),
+			Make: makeNet(func(n int) (sim.Network, error) { return policy.NewLazy(n, k, alpha) }),
 		}, nil
 	})
 	registerBuiltinNetwork("full", needK("full"), func(d NetworkDef) (engine.NetworkSpec, error) {

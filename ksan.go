@@ -55,7 +55,6 @@ import (
 	"github.com/ksan-net/ksan/internal/core"
 	"github.com/ksan-net/ksan/internal/engine"
 	"github.com/ksan-net/ksan/internal/karynet"
-	"github.com/ksan-net/ksan/internal/lazynet"
 	"github.com/ksan-net/ksan/internal/policy"
 	"github.com/ksan-net/ksan/internal/sim"
 	"github.com/ksan-net/ksan/internal/spec"
@@ -117,7 +116,7 @@ type SplayNet = splaynet.Net
 // static until the routing cost since the last reconfiguration crosses a
 // threshold, then a demand-aware topology is recomputed from the observed
 // traffic (the lazy SAN regime the paper's introduction describes).
-type LazyNet = lazynet.Net
+type LazyNet = policy.Net
 
 // StaticNet wraps a static topology as a Network (routing cost only).
 type StaticNet = statictree.Net
@@ -215,7 +214,7 @@ func NewSplayNet(n int) (*SplayNet, error) { return splaynet.New(n) }
 // NewLazyNet constructs a partially reactive k-ary network that rebuilds a
 // demand-aware topology whenever the routing cost since the last rebuild
 // reaches alpha.
-func NewLazyNet(n, k int, alpha int64) (*LazyNet, error) { return lazynet.New(n, k, alpha) }
+func NewLazyNet(n, k int, alpha int64) (*LazyNet, error) { return policy.NewLazy(n, k, alpha) }
 
 // NewStaticNet wraps a static tree topology as a Network.
 func NewStaticNet(name string, t *Tree) *StaticNet { return statictree.NewNet(name, t) }
